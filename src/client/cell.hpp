@@ -2,29 +2,46 @@
 // a base station running a download policy, with periodic invalidation
 // reports broadcast to the clients over the downlink.
 //
-// Per tick:
+// One engine runs the tick for every caller: client::run_cell steps a
+// CellEngine over a fixed roster, exp::MobilityFleet steps one engine per
+// cell over a shared client vector and moves ids between rosters at its
+// handoff barrier. Per tick (CellEngine::tick):
 //   1. servers update; the base-station cache decays (it is co-located
 //      with the report generator, so its knowledge is current), and the
 //      updates are appended to the invalidation log;
 //   2. every report_period ticks a report is broadcast; connected clients
 //      apply it (the sleeper rule drops the local cache of clients that
-//      slept through a window);
-//   3. each connected client draws a request; if its local copy meets its
-//      target recency it is served locally, otherwise the request goes to
-//      the base station, which answers per its DownloadPolicy, and the
-//      client stores the response (inheriting the served copy's recency).
+//      slept through a window), and the log is pruned to that window;
+//   3. payloads sent delivery_ticks ago land (delivery_ticks > 0 only);
+//   4. each resident client may start a fault handoff, steps its
+//      connectivity and, when connected, draws a request; if its local
+//      copy meets its target recency it is served locally, otherwise the
+//      request goes to the base station, which answers per its
+//      DownloadPolicy;
+//   5. clients store the responses (inheriting the served copy's
+//      recency), at once or delivery_ticks later.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cache/invalidation.hpp"
 #include "client/mobile_client.hpp"
+#include "core/base_station.hpp"
 #include "exp/fig2.hpp"
+#include "net/fault_injector.hpp"
 #include "object/object.hpp"
+#include "server/remote_server.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/tick.hpp"
 #include "util/arena.hpp"
+#include "util/rng.hpp"
+#include "workload/access.hpp"
+#include "workload/requests.hpp"
+#include "workload/updates.hpp"
 
 namespace mobi::obs {
 class RequestTracer;
@@ -83,37 +100,118 @@ struct CellResult {
   }
 };
 
-CellResult run_cell(const CellConfig& config);
-
-/// Same simulation, additionally appending one cumulative CellResult
-/// snapshot per tick to `per_tick` (so per_tick->back() equals the return
-/// value). Passing nullptr is identical to the plain overload; the
-/// snapshots are read-only observation, so results are bit-identical
-/// either way. The multi-cell driver (exp/multi_cell.hpp) aggregates
-/// these shard-local series into registry-wide per-tick metrics.
-CellResult run_cell(const CellConfig& config,
-                    std::vector<CellResult>* per_tick);
-
-/// Adds request-lifecycle tracing: the tracer is attached to this cell's
-/// base station (and through it the downlink and fixed network) for the
-/// whole run. The caller owns the tracer and its histogram registration;
-/// nullptr tracer is identical to the two-argument overload. Tracing is
-/// read-only observation — results stay bit-identical.
-CellResult run_cell(const CellConfig& config, std::vector<CellResult>* per_tick,
-                    obs::RequestTracer* tracer);
-
-/// Arena-backed per-tick series: same element layout as the plain vector
-/// overloads but allocated from a util::MonotonicArena, so a fleet run's
-/// cold path (cells × ticks snapshots) lands in a few reused slabs
-/// instead of per-cell heap growth. The arena is single-threaded: callers
-/// running cells on worker threads must reserve() each series to its
-/// final size (config.ticks snapshots are appended, exactly) *before*
-/// dispatch — see util/arena.hpp.
+/// Per-tick cumulative CellResult snapshots, allocated from a
+/// util::MonotonicArena so a fleet run's cold path (cells × ticks
+/// snapshots) lands in a few reused slabs instead of per-cell heap
+/// growth. The arena is single-threaded: callers running cells on worker
+/// threads must reserve() each series to its final size (one snapshot
+/// per tick) *before* dispatch — see util/arena.hpp.
 using CellSeries = std::vector<CellResult, util::ArenaAllocator<CellResult>>;
 
-/// CellSeries variant of the traced overload; identical simulation,
-/// bit-identical results.
-CellResult run_cell(const CellConfig& config, CellSeries* per_tick,
-                    obs::RequestTracer* tracer);
+/// One base station and the clients resident in its cell, stepped one
+/// tick at a time. The catalog, access distribution and client vector
+/// belong to the caller and must outlive the engine; the client vector
+/// must never reallocate (each client's invalidation listener holds the
+/// address of its own cache). Engines over one client vector share one
+/// `credited` vector, so a client's counters are credited exactly once
+/// however it moves. Not copyable or movable: the station holds
+/// references into the engine.
+class CellEngine {
+ public:
+  /// Sleeper-drop and handoff counts last credited to a cell, per client.
+  struct Credit {
+    std::uint64_t sleeper_drops = 0;
+    std::uint64_t handoffs = 0;
+  };
+
+  /// `config.client_count` sizes the downlink and `config.seed` reseeds
+  /// the fault plan; `root` is the cell's root stream, which spawns the
+  /// connectivity stream and then the request stream. Payloads land
+  /// `delivery_ticks` after the station serves them (0 = instantly).
+  /// Throws std::invalid_argument on report_period <= 0 or
+  /// delivery_ticks < 0.
+  CellEngine(const CellConfig& config, const object::Catalog& catalog,
+             const workload::AccessDistribution& access,
+             std::vector<MobileClient>& clients, std::vector<Credit>& credited,
+             std::vector<std::uint32_t> roster, util::Rng root,
+             sim::Tick delivery_ticks = 0);
+  CellEngine(const CellEngine&) = delete;
+  CellEngine& operator=(const CellEngine&) = delete;
+
+  /// Attaches request-lifecycle tracing to the station (and through it
+  /// the downlink and fixed network). The caller owns the tracer; tracing
+  /// is read-only observation, so results stay bit-identical.
+  void set_tracer(obs::RequestTracer* tracer);
+  obs::RequestTracer* tracer() const noexcept { return tracer_; }
+  /// Appends one cumulative CellResult snapshot per tick (nullptr
+  /// detaches). Read-only observation.
+  void attach_series(CellSeries* series) noexcept { series_ = series; }
+  core::BaseStation& station() noexcept { return station_; }
+
+  void tick(sim::Tick t);
+
+  /// Credits the resident clients' counter increments since their last
+  /// credit (handoffs granted after the last tick's client loop).
+  void settle();
+
+  /// Roster moves for a handoff barrier; release() throws
+  /// std::logic_error when `client` is not resident.
+  void admit(std::uint32_t client);
+  void release(std::uint32_t client);
+
+  /// Sorted ids of the resident clients.
+  const std::vector<std::uint32_t>& roster() const noexcept { return roster_; }
+  const CellResult& result() const noexcept { return result_; }
+  std::uint64_t delivered_payloads() const noexcept { return delivered_; }
+  std::uint64_t lost_deliveries() const noexcept { return lost_; }
+
+ private:
+  /// One serve in flight on the downlink: decided at some tick, landing
+  /// at `land`. `recency` is frozen at send time (the payload's content
+  /// does not change mid-flight).
+  struct Delivery {
+    std::uint32_t client = 0;
+    object::ObjectId object = 0;
+    double recency = 1.0;
+    sim::Tick land = 0;
+  };
+
+  void credit(std::uint32_t client);
+  void land_deliveries(sim::Tick t);
+
+  const workload::AccessDistribution& access_;
+  std::vector<MobileClient>& clients_;
+  std::vector<Credit>& credited_;
+  sim::Tick report_period_;
+  sim::Tick handoff_ticks_;
+  sim::Tick delivery_ticks_;
+  server::ServerPool servers_;
+  core::BaseStation station_;
+  std::optional<net::FaultInjector> injector_;
+  cache::InvalidationLog log_;
+  std::unique_ptr<workload::UpdateProcess> updates_;
+  util::Rng connectivity_rng_;
+  util::Rng request_rng_;
+  core::ReciprocalScorer landing_scorer_;
+  std::vector<std::uint32_t> roster_;
+  CellResult result_;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t lost_ = 0;
+  // Reused per-tick scratch, reserved to the whole client population.
+  workload::RequestBatch batch_;
+  std::vector<std::uint32_t> requester_;  // client id per batch entry
+  std::vector<Delivery> in_flight_;       // kept compact, enqueue order
+  cache::InvalidationReport report_;
+  obs::RequestTracer* tracer_ = nullptr;
+  CellSeries* series_ = nullptr;
+};
+
+/// Runs one cell for config.ticks ticks over clients [0, client_count).
+/// `per_tick` (may be nullptr) receives one cumulative snapshot per tick,
+/// so per_tick->back() equals the return value; `tracer` (may be
+/// nullptr) traces the station for the whole run. Both are read-only
+/// observation: results are bit-identical with or without them.
+CellResult run_cell(const CellConfig& config, CellSeries* per_tick = nullptr,
+                    obs::RequestTracer* tracer = nullptr);
 
 }  // namespace mobi::client

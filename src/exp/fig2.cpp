@@ -27,8 +27,6 @@ const char* access_pattern_name(AccessPattern pattern) noexcept {
   return "?";
 }
 
-namespace {
-
 std::shared_ptr<const workload::AccessDistribution> make_access(
     AccessPattern pattern, std::size_t n, double zipf_alpha) {
   switch (pattern) {
@@ -38,8 +36,6 @@ std::shared_ptr<const workload::AccessDistribution> make_access(
   }
   throw std::invalid_argument("make_access: bad pattern");
 }
-
-}  // namespace
 
 object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
                             std::size_t request_rate) {

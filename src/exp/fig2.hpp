@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,11 +21,19 @@ namespace mobi::obs {
 class SeriesRecorder;
 }  // namespace mobi::obs
 
+namespace mobi::workload {
+class AccessDistribution;
+}  // namespace mobi::workload
+
 namespace mobi::exp {
 
 enum class AccessPattern { kUniform, kRankLinear, kZipf };
 
 const char* access_pattern_name(AccessPattern pattern) noexcept;
+
+/// The request distribution `pattern` names over `n` objects.
+std::shared_ptr<const workload::AccessDistribution> make_access(
+    AccessPattern pattern, std::size_t n, double zipf_alpha);
 
 struct Fig2Config {
   std::size_t object_count = 500;

@@ -1,68 +1,13 @@
 #include "exp/mobility_fleet.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
-#include "cache/decay.hpp"
 #include "obs/event_log.hpp"
 #include "obs/profiler.hpp"
 #include "object/builders.hpp"
 
 namespace mobi::exp {
-
-namespace {
-
-std::shared_ptr<const workload::AccessDistribution> make_access(
-    const client::CellConfig& config) {
-  switch (config.access) {
-    case AccessPattern::kUniform:
-      return workload::make_uniform_access(config.object_count);
-    case AccessPattern::kRankLinear:
-      return workload::make_rank_linear_access(config.object_count);
-    case AccessPattern::kZipf:
-      return workload::make_zipf_access(config.object_count,
-                                        config.zipf_alpha);
-  }
-  throw std::invalid_argument("MobilityFleet: unknown access pattern");
-}
-
-}  // namespace
-
-MobilityFleet::CellState::CellState(const object::Catalog& catalog,
-                                    const MultiCellConfig& config,
-                                    std::uint64_t cell_seed,
-                                    std::size_t initial_clients)
-    : servers(catalog, config.cell.server_count),
-      station(catalog, servers, cache::make_harmonic_decay(),
-              std::make_unique<core::ReciprocalScorer>(),
-              core::make_policy(config.cell.base_policy),
-              [&] {
-                core::BaseStationConfig bs_config;
-                bs_config.download_budget = config.cell.base_budget;
-                bs_config.downlink_capacity = std::max<object::Units>(
-                    1, object::Units(initial_clients) * config.cell.size_hi);
-                bs_config.fetch_retry_limit = config.cell.fetch_retry_limit;
-                return bs_config;
-              }()),
-      log(config.cell.object_count),
-      updates(workload::make_periodic_staggered(config.cell.object_count,
-                                                config.cell.update_period)) {
-  // Same stream discipline as client::run_cell: the cell's root stream
-  // spawns connectivity then requests. The catalog draw that run_cell
-  // takes from the root stream happens once, fleet-wide, from the master
-  // seed instead — per-cell catalogs cannot host migrating clients.
-  util::Rng rng(cell_seed);
-  connectivity_rng = rng.split();
-  request_rng = rng.split();
-  if (!config.cell.faults.empty()) {
-    sim::FaultPlan plan = config.cell.faults;
-    plan.seed = util::SplitMix64(plan.seed ^ cell_seed).next();
-    injector.emplace(plan, servers.server_count());
-    station.set_fault_injector(&*injector);
-    servers.set_fault_injector(&*injector);
-  }
-}
 
 MobilityFleet::MobilityFleet(const MultiCellConfig& config)
     : config_(config),
@@ -82,9 +27,6 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
   if (config_.cell_count == 0) {
     throw std::invalid_argument("MobilityFleet: need >= 1 cell");
   }
-  if (config_.mobility_delivery_ticks < 0) {
-    throw std::invalid_argument("MobilityFleet: negative delivery latency");
-  }
   if (!config_.cell_client_counts.empty() &&
       config_.cell_client_counts.size() != config_.cell_count) {
     throw std::invalid_argument(
@@ -101,7 +43,8 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
   std::size_t total = 0;
   for (std::size_t count : counts) total += count;
 
-  access_ = make_access(config_.cell);
+  access_ = make_access(config_.cell.access, config_.cell.object_count,
+                        config_.cell.zipf_alpha);
   ticks_ = config_.cell.ticks;
 
   // Global ids in cell-major order; the client vector is reserved once
@@ -110,33 +53,36 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
   clients_.reserve(total);
   std::vector<std::uint32_t> home;
   home.reserve(total);
-  cells_.reserve(config_.cell_count);
   for (std::size_t i = 0; i < config_.cell_count; ++i) {
-    auto cell = std::make_unique<CellState>(catalog_, config_,
-                                            shard_seed(config_.seed, i),
-                                            counts[i]);
-    cell->roster.reserve(total);
-    cell->batch.reserve(total);
-    cell->requester.reserve(total);
-    cell->in_flight.reserve(total *
-                            std::size_t(config_.mobility_delivery_ticks + 1));
-    cell->report.items.reserve(config_.cell.object_count);
     for (std::size_t j = 0; j < counts[i]; ++j) {
-      const std::uint32_t id = std::uint32_t(clients_.size());
-      clients_.emplace_back(id, catalog_, config_.cell.client);
-      cell->roster.push_back(id);
+      clients_.emplace_back(std::uint32_t(clients_.size()), catalog_,
+                            config_.cell.client);
       home.push_back(std::uint32_t(i));
     }
-    cells_.push_back(std::move(cell));
   }
-  seen_sleeper_drops_.assign(total, 0);
-  seen_handoffs_.assign(total, 0);
+  credited_.resize(total);
+  cells_.reserve(config_.cell_count);
+  std::uint32_t first = 0;
+  for (std::size_t i = 0; i < config_.cell_count; ++i) {
+    client::CellConfig cell = config_.cell;
+    cell.seed = shard_seed(config_.seed, i);
+    cell.client_count = counts[i];
+    std::vector<std::uint32_t> roster(counts[i]);
+    for (std::uint32_t& id : roster) id = first++;
+    // Same stream discipline as run_cell, except that the catalog draw
+    // run_cell takes from the cell's root stream happens once, fleet-
+    // wide, from the master seed — per-cell catalogs cannot host
+    // migrating clients.
+    cells_.push_back(std::make_unique<client::CellEngine>(
+        cell, catalog_, *access_, clients_, credited_, std::move(roster),
+        util::Rng(cell.seed), config_.mobility_delivery_ticks));
+  }
 
   model_.emplace(config_.mobility, config_.cell_count, home);
   if (config_.mobility_predictive) {
     predictor_.emplace(*model_, config_.mobility_horizon);
     probe_.emplace(*predictor_);
-    for (auto& cell : cells_) cell->station.set_residency_probe(&*probe_);
+    for (auto& cell : cells_) cell->station().set_residency_probe(&*probe_);
   }
   bus_.emplace(config_.cell_count);
   bus_->reserve(total);
@@ -145,138 +91,12 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
 }
 
 void MobilityFleet::set_tracer(std::size_t cell, obs::RequestTracer* tracer) {
-  cells_.at(cell)->tracer = tracer;
-  cells_.at(cell)->station.set_request_tracer(tracer);
+  cells_.at(cell)->set_tracer(tracer);
 }
 
 void MobilityFleet::attach_series(std::size_t cell,
                                   client::CellSeries* series) {
-  cells_.at(cell)->series = series;
-}
-
-void MobilityFleet::run_cell_tick(CellState& cell, sim::Tick t) {
-  // The client::run_cell tick body, reshaped for a roster of global ids.
-  if (cell.injector) cell.injector->begin_tick(t);
-
-  cell.updates->for_each_updated(t, [&](object::ObjectId id) {
-    cell.station.on_server_update(id, t);
-    cell.log.record_update(id, t);
-  });
-
-  if (t > 0 && t % config_.cell.report_period == 0) {
-    cell.log.make_report_into(t - config_.cell.report_period, t, cell.report);
-    for (std::uint32_t id : cell.roster) {
-      client::MobileClient& mobile = clients_[id];
-      if (mobile.connected()) mobile.hear_report(cell.report);
-    }
-    // Entries older than the window just broadcast can never appear in a
-    // report again; dropping them keeps the log's footprint flat over
-    // arbitrarily long runs (run_cell keeps the whole log — same
-    // reports either way).
-    cell.log.prune(t - config_.cell.report_period);
-  }
-
-  // Payloads land before clients act, so a copy that arrives this tick
-  // can serve this tick's request locally.
-  if (config_.mobility_delivery_ticks > 0) land_deliveries(cell, t);
-
-  cell.batch.clear();
-  cell.requester.clear();
-  for (std::uint32_t id : cell.roster) {
-    client::MobileClient& mobile = clients_[id];
-    // Counters travel with the client; attribute the delta since the
-    // last sighting to the cell it is resident in now, so each cell's
-    // cumulative series stays monotone across migrations.
-    const std::uint64_t drops = mobile.sleeper_drops();
-    cell.result.sleeper_drops += drops - seen_sleeper_drops_[id];
-    seen_sleeper_drops_[id] = drops;
-    const std::uint64_t handoffs = mobile.handoff_count();
-    cell.result.handoffs += handoffs - seen_handoffs_[id];
-    seen_handoffs_[id] = handoffs;
-
-    if (cell.injector && mobile.connected() && cell.injector->draw_handoff()) {
-      mobile.begin_handoff(config_.cell.faults.handoff_ticks);
-    }
-    mobile.step_connectivity(cell.connectivity_rng);
-    if (!mobile.connected()) {
-      ++cell.result.disconnect_ticks;
-      continue;
-    }
-    const object::ObjectId want = access_->sample(cell.request_rng);
-    ++cell.result.requests;
-    const auto local = mobile.lookup(want, t);
-    if (local && *local >= mobile.target_recency()) {
-      ++cell.result.served_locally;
-      cell.result.score_sum += 1.0;  // local copy meets the client's target
-      continue;
-    }
-    cell.batch.push_back(workload::Request{want, mobile.target_recency(),
-                                           workload::ClientId(mobile.id())});
-    cell.requester.push_back(id);
-  }
-
-  const bool instant = config_.mobility_delivery_ticks <= 0;
-  const auto tick_result = cell.station.process_batch(cell.batch, t);
-  cell.result.base_downloaded += tick_result.units_downloaded;
-  cell.result.served_by_base += cell.batch.size();
-  // With delivery latency, base-path serve scores are credited when the
-  // payload lands on the client (land_deliveries), not when the station
-  // decides — a serve the client never receives scores nothing.
-  if (instant) cell.result.score_sum += tick_result.score_sum;
-  cell.result.failed_fetches += tick_result.failed_fetches;
-  cell.result.retries += tick_result.retries;
-  cell.result.retry_successes += tick_result.retry_successes;
-  cell.result.degraded_serves += tick_result.degraded_serves;
-
-  for (std::size_t r = 0; r < cell.batch.size(); ++r) {
-    const auto& request = cell.batch[r];
-    const auto recency = cell.station.cache().recency(request.object);
-    if (!recency) continue;  // base had nothing either (cache-only policy)
-    if (instant) {
-      clients_[cell.requester[r]].store(request.object,
-                                        cell.servers.fetch(request.object), t,
-                                        *recency);
-    } else {
-      Delivery delivery;
-      delivery.client = cell.requester[r];
-      delivery.object = request.object;
-      delivery.recency = *recency;
-      delivery.land = t + config_.mobility_delivery_ticks;
-      cell.in_flight.push_back(delivery);
-    }
-  }
-
-  cell.result.downlink_dropped = cell.station.downlink().dropped_total();
-  if (cell.series) cell.series->push_back(cell.result);
-}
-
-void MobilityFleet::land_deliveries(CellState& cell, sim::Tick t) {
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < cell.in_flight.size(); ++i) {
-    const Delivery delivery = cell.in_flight[i];
-    if (delivery.land > t) {
-      cell.in_flight[keep++] = delivery;
-      continue;
-    }
-    // The payload lands only if its client is still in this cell and on
-    // the air; a migrant or sleeper simply loses it — the units were
-    // spent either way, which is exactly the waste the residency-
-    // weighted knapsack trades against.
-    client::MobileClient& mobile = clients_[delivery.client];
-    const bool resident = std::binary_search(cell.roster.begin(),
-                                             cell.roster.end(),
-                                             delivery.client);
-    if (!resident || !mobile.connected()) {
-      ++cell.lost_deliveries;
-      continue;
-    }
-    mobile.store(delivery.object, cell.servers.fetch(delivery.object), t,
-                 delivery.recency);
-    cell.result.score_sum +=
-        landing_scorer_.score(delivery.recency, mobile.target_recency());
-    ++cell.delivered_payloads;
-  }
-  cell.in_flight.resize(keep);
+  cells_.at(cell)->attach_series(series);
 }
 
 void MobilityFleet::set_profiler(obs::PhaseProfiler* profiler) {
@@ -296,7 +116,7 @@ void MobilityFleet::barrier(sim::Tick t) {
     record.to = crossing.to;
     record.cache_units = clients_[crossing.client].local_cache().used();
     bus_->post(record);
-    if (obs::RequestTracer* tracer = cells_[crossing.from]->tracer) {
+    if (obs::RequestTracer* tracer = cells_[crossing.from]->tracer()) {
       tracer->on_handoff(crossing.client, crossing.to,
                          double(record.cache_units));
     }
@@ -304,17 +124,8 @@ void MobilityFleet::barrier(sim::Tick t) {
   // Post order is delivery order: a client that hops through two cells
   // this tick leaves the first before it can leave the second.
   bus_->drain([this](const HandoffRecord& record) {
-    auto& from_roster = cells_[record.from]->roster;
-    const auto it = std::lower_bound(from_roster.begin(), from_roster.end(),
-                                     record.client);
-    if (it == from_roster.end() || *it != record.client) {
-      throw std::logic_error("MobilityFleet: crossing client not resident");
-    }
-    from_roster.erase(it);
-    auto& to_roster = cells_[record.to]->roster;
-    to_roster.insert(
-        std::upper_bound(to_roster.begin(), to_roster.end(), record.client),
-        record.client);
+    cells_[record.from]->release(record.client);
+    cells_[record.to]->admit(record.client);
     clients_[record.client].begin_handoff(config_.mobility.handoff_ticks);
   });
   stats_.crossings += crossings_.size();
@@ -323,8 +134,8 @@ void MobilityFleet::barrier(sim::Tick t) {
   stats_.deliveries = 0;
   stats_.lost_deliveries = 0;
   for (const auto& cell : cells_) {
-    stats_.deliveries += cell->delivered_payloads;
-    stats_.lost_deliveries += cell->lost_deliveries;
+    stats_.deliveries += cell->delivered_payloads();
+    stats_.lost_deliveries += cell->lost_deliveries();
   }
   rows_.push_back(stats_);
 }
@@ -340,10 +151,10 @@ void MobilityFleet::step(util::ThreadPool* pool) {
     if (pool) {
       util::parallel_for(*pool, 0, cells_.size(),
                          [this, t](std::size_t i) {
-                           run_cell_tick(*cells_[i], t);
+                           cells_[i]->tick(t);
                          });
     } else {
-      for (auto& cell : cells_) run_cell_tick(*cell, t);
+      for (auto& cell : cells_) cell->tick(t);
     }
   }
   {
@@ -351,20 +162,10 @@ void MobilityFleet::step(util::ThreadPool* pool) {
     barrier(t);
     span.add_cost(crossings_.size());
   }
+  // Handoffs granted at the last barrier land in the cell the client
+  // ends the run in.
   if (done()) {
-    // Final attribution sweep: increments since each client's last
-    // sighting (including handoffs granted at the last barrier) land in
-    // the cell the client ends the run in.
-    for (auto& cell : cells_) {
-      for (std::uint32_t id : cell->roster) {
-        const client::MobileClient& mobile = clients_[id];
-        cell->result.sleeper_drops +=
-            mobile.sleeper_drops() - seen_sleeper_drops_[id];
-        seen_sleeper_drops_[id] = mobile.sleeper_drops();
-        cell->result.handoffs += mobile.handoff_count() - seen_handoffs_[id];
-        seen_handoffs_[id] = mobile.handoff_count();
-      }
-    }
+    for (auto& cell : cells_) cell->settle();
   }
 }
 

@@ -4,7 +4,7 @@
 // streams — which is exactly what makes sharded runs embarrassingly
 // parallel, and exactly what breaks once a client can leave: a migrating
 // client must find the same object sizes and a consistent server state
-// in its new cell. The fleet therefore restructures the run:
+// in its new cell. The fleet therefore shares what a migrant needs:
 //
 //   * ONE catalog, built from the master seed, shared by every cell;
 //     per-cell ServerPools stay version-consistent because the staggered
@@ -18,11 +18,11 @@
 //     same position-addressable shard_seed discipline as the sharded
 //     path, so a pool-of-K run is bit-identical to serial for every K.
 //
-// Each tick: cells run the run_cell-shaped body in parallel (updates ->
-// report -> client requests -> process_batch -> stores -> snapshot),
-// then a single-threaded barrier steps the MobilityModel, posts each
-// crossing to the HandoffBus, and drains it — roster moves plus a
-// deterministic handoff window on the crossing client. With
+// Each cell is a client::CellEngine — the same tick run_cell steps. Each
+// tick the engines run in parallel, then a single-threaded barrier steps
+// the MobilityModel, posts each crossing to the HandoffBus, and drains it
+// — roster moves plus a deterministic handoff window on the crossing
+// client. The barrier is the only code a moving fleet adds. With
 // mobility_predictive set, every station's knapsack sees a ResidencyProbe
 // backed by the model's dwell estimates.
 #pragma once
@@ -32,20 +32,14 @@
 #include <optional>
 #include <vector>
 
-#include "cache/invalidation.hpp"
 #include "client/cell.hpp"
 #include "client/mobile_client.hpp"
-#include "core/base_station.hpp"
 #include "core/residency.hpp"
 #include "exp/handoff_bus.hpp"
 #include "exp/multi_cell.hpp"
-#include "net/fault_injector.hpp"
-#include "server/remote_server.hpp"
 #include "sim/mobility.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/access.hpp"
-#include "workload/requests.hpp"
-#include "workload/updates.hpp"
 
 namespace mobi::obs {
 class RequestTracer;
@@ -79,8 +73,8 @@ class MobilityFleet {
   MobilityFleet& operator=(const MobilityFleet&) = delete;
 
   /// Attach observation before the first step. The tracer follows the
-  /// run_cell contract (station + links); `series` (may be nullptr)
-  /// receives one cumulative CellResult snapshot per tick, appended by
+  /// CellEngine::set_tracer contract (station + links); `series` (may be
+  /// nullptr) receives one cumulative CellResult snapshot per tick, appended by
   /// whichever worker runs the cell — reserve it to ticks() up front.
   void set_tracer(std::size_t cell, obs::RequestTracer* tracer);
   void attach_series(std::size_t cell, client::CellSeries* series);
@@ -93,8 +87,8 @@ class MobilityFleet {
   /// granted). nullptr detaches.
   void set_profiler(obs::PhaseProfiler* profiler);
 
-  /// Runs one tick: parallel cell bodies (serial when pool is null),
-  /// then the single-threaded mobility barrier. The serial path is
+  /// Runs one tick: the cell engines in parallel (serial when pool is
+  /// null), then the single-threaded mobility barrier. The serial path is
   /// allocation-free once scratch capacities are warm.
   void step(util::ThreadPool* pool = nullptr);
 
@@ -106,11 +100,11 @@ class MobilityFleet {
   std::size_t client_count() const noexcept { return clients_.size(); }
 
   const client::CellResult& cell_result(std::size_t cell) const {
-    return cells_.at(cell)->result;
+    return cells_.at(cell)->result();
   }
   /// Sorted global ids currently resident in `cell`.
   const std::vector<std::uint32_t>& roster(std::size_t cell) const {
-    return cells_.at(cell)->roster;
+    return cells_.at(cell)->roster();
   }
   std::uint32_t cell_of_client(std::uint32_t client) const {
     return model_->cell_of(client);
@@ -128,55 +122,14 @@ class MobilityFleet {
   }
 
  private:
-  /// One serve in flight on a cell's downlink: decided at some tick,
-  /// landing at `land`. `recency` is frozen at send time (the payload's
-  /// content does not change mid-flight).
-  struct Delivery {
-    std::uint32_t client = 0;
-    object::ObjectId object = 0;
-    double recency = 1.0;
-    sim::Tick land = 0;
-  };
-
-  struct CellState {
-    server::ServerPool servers;
-    core::BaseStation station;
-    cache::InvalidationLog log;
-    std::unique_ptr<workload::UpdateProcess> updates;
-    std::optional<net::FaultInjector> injector;
-    util::Rng connectivity_rng;
-    util::Rng request_rng;
-    std::vector<std::uint32_t> roster;  // sorted global client ids
-    client::CellResult result;
-    std::uint64_t delivered_payloads = 0;
-    std::uint64_t lost_deliveries = 0;
-    // Reused per-tick scratch (reserved in the constructor).
-    workload::RequestBatch batch;
-    std::vector<std::uint32_t> requester;  // global id per batch entry
-    std::vector<Delivery> in_flight;  // kept compact, enqueue order
-    cache::InvalidationReport report;
-    obs::RequestTracer* tracer = nullptr;
-    client::CellSeries* series = nullptr;
-
-    CellState(const object::Catalog& catalog, const MultiCellConfig& config,
-              std::uint64_t cell_seed, std::size_t initial_clients);
-  };
-
-  void run_cell_tick(CellState& cell, sim::Tick t);
-  void land_deliveries(CellState& cell, sim::Tick t);
   void barrier(sim::Tick t);
 
   MultiCellConfig config_;
   object::Catalog catalog_;
-  core::ReciprocalScorer landing_scorer_;
   std::shared_ptr<const workload::AccessDistribution> access_;
-  std::vector<std::unique_ptr<CellState>> cells_;
   std::vector<client::MobileClient> clients_;  // stable; never reallocates
-  // Last-published per-client counters: per-tick deltas are attributed to
-  // the cell the client is resident in, so per-cell series stay monotone
-  // even though the underlying counters travel with the client.
-  std::vector<std::uint64_t> seen_sleeper_drops_;
-  std::vector<std::uint64_t> seen_handoffs_;
+  std::vector<client::CellEngine::Credit> credited_;
+  std::vector<std::unique_ptr<client::CellEngine>> cells_;
 
   std::optional<sim::MobilityModel> model_;
   std::optional<sim::ResidencyPredictor> predictor_;

@@ -88,12 +88,15 @@ void JsonlTraceSink::flush_buffer(std::vector<RequestEvent>& buffer) {
   for (const RequestEvent& event : buffer) {
     append_event_jsonl(scratch_, event);
   }
-  if (!scratch_.empty() && file_) {
-    ok_ = std::fwrite(scratch_.data(), 1, scratch_.size(), file_) ==
-              scratch_.size() &&
-          ok_;
+  // Only events whose bytes reached the file count as flushed; stdio
+  // reports a full or failing device at fflush, not at fwrite.
+  if (std::fwrite(scratch_.data(), 1, scratch_.size(), file_) ==
+          scratch_.size() &&
+      std::fflush(file_) == 0) {
+    flushed_.fetch_add(buffer.size(), std::memory_order_relaxed);
+  } else {
+    ok_ = false;
   }
-  flushed_.fetch_add(buffer.size(), std::memory_order_relaxed);
   flushes_.fetch_add(1, std::memory_order_relaxed);
   buffer.clear();
 }
@@ -122,7 +125,6 @@ void JsonlTraceSink::flush() {
     pending_done_.wait(lock, [this] { return !pending_full_; });
   }
   flush_buffer(active_);
-  if (file_) std::fflush(file_);
 }
 
 void JsonlTraceSink::close() {
@@ -145,10 +147,11 @@ void JsonlTraceSink::close() {
     footer += ",\"flush_blocks\":";
     footer += std::to_string(flush_blocks_);
     footer += "}\n";
-    ok_ = std::fwrite(footer.data(), 1, footer.size(), file_) ==
-              footer.size() &&
-          ok_;
-    std::fclose(file_);
+    const bool footer_written =
+        std::fwrite(footer.data(), 1, footer.size(), file_) == footer.size();
+    if (std::fclose(file_) != 0 || !footer_written) {
+      ok_ = false;
+    }
     file_ = nullptr;
   }
 }

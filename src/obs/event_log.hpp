@@ -126,6 +126,7 @@ class JsonlTraceSink final : public EventSink {
   void close();
 
   const std::string& path() const noexcept { return path_; }
+  /// False once any write, flush or close of the file has failed.
   bool ok() const noexcept { return ok_; }
   std::uint64_t streamed_events() const noexcept override {
     return streamed_;
@@ -147,7 +148,7 @@ class JsonlTraceSink final : public EventSink {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  bool ok_ = true;
+  std::atomic<bool> ok_{true};  // cleared by whichever thread hits an error
   bool closed_ = false;
   bool background_;
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cache/decay.hpp"
+#include "client/cell.hpp"
 #include "coop/cooperative.hpp"
 #include "core/base_station.hpp"
 #include "exp/mobility_fleet.hpp"
@@ -358,6 +359,49 @@ TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
   // The measured ticks actually carried mobility traffic.
   EXPECT_GT(fleet.stats().crossings, warm_crossings);
   EXPECT_GT(fleet.stats().deliveries, 0u);
+}
+
+TEST(AllocRegression, ShardedCellSteadyStateIsAllocationFree) {
+  // One sharded cell as run_cell steps it, under live fetch failures,
+  // retries and downlink drops: report broadcasts, log pruning, the
+  // client loop, process_batch and the stores into client caches all run
+  // on scratch the engine reserves to its population plus the station's
+  // retained buffers. After warm-up grows those to their high-water
+  // marks, the measured ticks allocate nothing.
+  client::CellConfig config;
+  config.object_count = 48;
+  config.client_count = 16;
+  config.base_budget = 12;
+  config.report_period = 3;
+  config.fetch_retry_limit = 3;
+  config.faults.fetch_failure_rate = 0.2;
+  config.faults.downlink_drop_rate = 0.1;
+  config.seed = 7;
+  util::Rng rng(config.seed);
+  const auto catalog = object::make_random_catalog(
+      config.object_count, config.size_lo, config.size_hi, rng);
+  const auto access = exp::make_access(config.access, config.object_count,
+                                       config.zipf_alpha);
+  std::vector<client::MobileClient> clients;
+  clients.reserve(config.client_count);
+  std::vector<std::uint32_t> roster;
+  for (std::uint32_t i = 0; i < config.client_count; ++i) {
+    clients.emplace_back(i, catalog, config.client);
+    roster.push_back(i);
+  }
+  std::vector<client::CellEngine::Credit> credited(clients.size());
+  client::CellEngine engine(config, catalog, *access, clients, credited,
+                            std::move(roster), rng);
+  sim::Tick t = 0;
+  for (; t < 300; ++t) engine.tick(t);  // warm-up
+  const std::uint64_t warm_retries = engine.result().retries;
+  const std::uint64_t before = g_allocations.load();
+  for (; t < 500; ++t) engine.tick(t);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " steady-state heap allocations";
+  // The measured ticks actually retried failed fetches.
+  EXPECT_GT(engine.result().retries, warm_retries);
 }
 
 TEST(AllocRegression, StreamingSinkSteadyStateIsAllocationFree) {

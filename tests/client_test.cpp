@@ -183,6 +183,16 @@ TEST(Cell, DeterministicUnderSeed) {
   EXPECT_DOUBLE_EQ(a.score_sum, b.score_sum);
 }
 
+// A zero period used to divide by zero and a negative one threw midway
+// through the run; both are rejected before the first tick.
+TEST(Cell, RejectsNonPositiveReportPeriod) {
+  auto config = small_cell();
+  for (const sim::Tick period : {sim::Tick(0), sim::Tick(-5)}) {
+    config.report_period = period;
+    EXPECT_THROW(run_cell(config), std::invalid_argument);
+  }
+}
+
 TEST(Cell, BetterBasePolicyLiftsScores) {
   auto config = small_cell();
   config.base_policy = "on-demand-knapsack";

@@ -233,6 +233,23 @@ TEST(JsonlTraceSink, WriteAfterCloseIsACountedNoop) {
   std::remove(path.c_str());
 }
 
+// /dev/full accepts fwrite into the stdio buffer and fails at flush: a
+// short trace must still report the failure, and a long one must not
+// count events that never reached the device as flushed.
+TEST(JsonlTraceSink, WriteFailuresAreVisible) {
+  for (const std::uint32_t events : {10u, 100000u}) {
+    SCOPED_TRACE(events);
+    JsonlTraceSink sink("/dev/full", {64, /*background_flush=*/false});
+    for (std::uint32_t i = 0; i < events; ++i) {
+      sink.write({sim::Tick(i), EventKind::kArrival, i % 7, i, 3, 0.0});
+    }
+    sink.close();
+    EXPECT_FALSE(sink.ok());
+    EXPECT_EQ(sink.streamed_events(), events);
+    EXPECT_EQ(sink.flushed_events(), 0u);
+  }
+}
+
 TEST(JsonlTraceSink, RejectsZeroBufferAndUnopenablePath) {
   EXPECT_THROW(JsonlTraceSink("x.jsonl", {0, false}), std::invalid_argument);
   EXPECT_THROW(JsonlTraceSink("/nonexistent-dir-zz/x.jsonl"),

@@ -292,6 +292,14 @@ TEST(MobilityFleet, RejectsCoopTopologyAndOffConfigs) {
   EXPECT_THROW(exp::MobilityFleet fleet(off), std::invalid_argument);
 }
 
+TEST(MobilityFleet, RejectsNonPositiveReportPeriod) {
+  for (const sim::Tick period : {sim::Tick(0), sim::Tick(-5)}) {
+    exp::MultiCellConfig config = mobile_config(3);
+    config.cell.report_period = period;
+    EXPECT_THROW(exp::run_multi_cell(config), std::invalid_argument);
+  }
+}
+
 // The MobiCacher acceptance: with heavy churn (every client in motion,
 // no pauses), scaling knapsack benefit by predicted residency must beat
 // the residence-blind twin on served recency per downloaded unit — the
