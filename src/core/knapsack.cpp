@@ -22,11 +22,9 @@ void validate_items(std::span<const KnapsackItem> items) {
   }
 }
 
-/// Density order shared by the greedy solver, the DP shortcut and the
-/// parallel branch-and-bound: profit density descending, then size
-/// ascending, then index ascending. The comparator must stay identical in
-/// all places — the shortcut's optimality argument assumes the greedy's
-/// exact order.
+/// Density order shared by the greedy solver and the parallel
+/// branch-and-bound: profit density descending, then size ascending, then
+/// index ascending.
 void density_order(std::span<const KnapsackItem> items,
                    std::vector<std::size_t>& order) {
   order.resize(items.size());
@@ -40,77 +38,34 @@ void density_order(std::span<const KnapsackItem> items,
   });
 }
 
-/// Shortcut 1: when every positive-profit item fits within the capacity
-/// together, the optimum is forced — any optimal set contains all of them
-/// (dropping one loses its profit) and nothing else (the strict-improvement
-/// DP never takes zero-profit items). The DP reconstructs exactly this set
-/// and accumulates its value item-by-item in ascending index order, so the
-/// ascending fold below reproduces the DP's double bit-for-bit.
+/// The one exactness shortcut. Suppose every positive-profit item fits in
+/// the capacity together. By induction over the DP rows, at any capacity
+/// that holds positives 0..i the value is the ascending fold F_i of their
+/// profits, and row i sets its decision bit there exactly when
+/// F_i > F_{i-1}. So if each profit strictly raises the fold, the DP takes
+/// every positive item and its value is the fold. If a profit is absorbed
+/// (1e17 + 1.0 == 1e17) the DP leaves that item out; the shortcut then
+/// declines and lets the DP decide.
 bool take_all_shortcut(std::span<const KnapsackItem> items,
                        object::Units capacity, KnapsackSolution& out) {
   object::Units need = 0;
+  double sum = 0.0;
   for (const KnapsackItem& item : items) {
     if (item.profit > 0.0) {
       need += item.size;
-      if (need > capacity) return false;
+      const double raised = sum + item.profit;
+      if (need > capacity || !(raised > sum)) return false;
+      sum = raised;
     }
   }
   out.reset();
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (items[i].profit > 0.0) {
       out.chosen.push_back(i);
-      out.value += items[i].profit;
       out.used += items[i].size;
     }
   }
-  return true;
-}
-
-/// Shortcut 2: when the density-greedy prefix fills the capacity *exactly*
-/// — no skipped item, no leftover — and there is a strict density gap to
-/// the first positive-profit item left out, the greedy value equals the
-/// fractional (LP) upper bound and the integral optimum is unique: every
-/// item outside the prefix has strictly lower density, so any other
-/// feasible set is strictly worse. The DP must therefore reconstruct this
-/// same set; value is folded in ascending index order to match its double.
-bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
-                            object::Units capacity,
-                            std::vector<std::size_t>& order,
-                            KnapsackSolution& out) {
-  density_order(items, order);
-  object::Units left = capacity;
-  std::size_t k = 0;
-  for (; k < order.size(); ++k) {
-    const KnapsackItem& item = items[order[k]];
-    if (item.profit <= 0.0) return false;  // positives ran out before fill
-    if (item.size > left) break;           // a skip: prefix ends short
-    left -= item.size;
-    if (left == 0) {
-      ++k;
-      break;
-    }
-  }
-  if (left != 0) return false;  // not an exact fill
-  if (k == 0) {                 // capacity 0: the empty set is the optimum
-    out.reset();
-    return true;
-  }
-  if (k < order.size()) {
-    const KnapsackItem& last = items[order[k - 1]];
-    const KnapsackItem& next = items[order[k]];
-    if (next.profit > 0.0) {
-      const double dl = last.profit / double(last.size);
-      const double dn = next.profit / double(next.size);
-      if (!(dl > dn)) return false;  // tie across the cut: not provably unique
-    }
-  }
-  out.reset();
-  out.chosen.assign(order.begin(), order.begin() + std::ptrdiff_t(k));
-  std::sort(out.chosen.begin(), out.chosen.end());
-  for (std::size_t index : out.chosen) {
-    out.value += items[index].profit;
-    out.used += items[index].size;
-  }
+  out.value = sum;
   return true;
 }
 
@@ -386,11 +341,25 @@ void solve_dp(std::span<const KnapsackItem> items, object::Units capacity,
   if (capacity < 0) {
     throw std::invalid_argument("KnapsackProfile: negative capacity");
   }
-  if (detail::take_all_shortcut(items, capacity, out)) return;
-  if (detail::greedy_prefix_shortcut(items, capacity, ws.order_, out)) return;
-  const KnapsackProfile profile(items, capacity, &ws,
-                                KnapsackProfile::AlreadyValidated{});
-  profile.solution_into(capacity, out);
+  // Only items that can enter an optimum get DP rows (knapsack.hpp says
+  // why that changes nothing). Sizing the buffers to the whole batch keeps
+  // them grow-only in the batch size, like the profile's own.
+  ws.live_items_.resize(items.size());
+  ws.live_index_.resize(items.size());
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].profit > 0.0 && items[i].size <= capacity) {
+      ws.live_items_[live] = items[i];
+      ws.live_index_[live++] = i;
+    }
+  }
+  const std::span<const KnapsackItem> kept(ws.live_items_.data(), live);
+  if (!detail::take_all_shortcut(kept, capacity, out)) {
+    const KnapsackProfile profile(kept, capacity, &ws,
+                                  KnapsackProfile::AlreadyValidated{});
+    profile.solution_into(capacity, out);
+  }
+  for (std::size_t& index : out.chosen) index = ws.live_index_[index];
 }
 
 KnapsackSolution solve_greedy(std::span<const KnapsackItem> items,

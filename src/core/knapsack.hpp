@@ -73,7 +73,9 @@ class KnapsackWorkspace {
   std::vector<double> values_prev_;     // word-parallel kernel's second row
   std::vector<std::uint64_t> take_bits_;  // profile / FPTAS decision bits
   std::vector<object::Units> item_sizes_;
-  std::vector<std::size_t> order_;      // density order (greedy, shortcuts)
+  std::vector<std::size_t> order_;      // density order (greedy, engine)
+  std::vector<KnapsackItem> live_items_;  // solve_dp: items that can enter
+  std::vector<std::size_t> live_index_;   // ... and their caller indices
   std::vector<std::uint64_t> scaled_;   // FPTAS scaled profits
   std::vector<object::Units> min_weight_;  // FPTAS weight-per-profit row
 };
@@ -87,24 +89,18 @@ namespace detail {
 /// is finite and >= 0.
 void validate_items(std::span<const KnapsackItem> items);
 
-/// Density order shared by the greedy solver, the DP shortcuts and the
-/// parallel branch-and-bound: profit density descending, then size
-/// ascending, then index ascending. The comparator must stay identical in
-/// all places — the shortcut's optimality argument assumes it.
+/// Density order shared by the greedy solver and the parallel
+/// branch-and-bound: profit density descending, then size ascending, then
+/// index ascending.
 void density_order(std::span<const KnapsackItem> items,
                    std::vector<std::size_t>& order);
 
-/// Exactness shortcut 1: all positive-profit items fit together. Returns
-/// true and writes the (forced) DP-canonical optimum into `out`.
+/// The exactness shortcut: all positive-profit items fit together and each
+/// strictly raises the ascending profit fold. Returns true and writes the
+/// (forced) DP-canonical optimum into `out`; otherwise returns false and
+/// leaves `out` untouched.
 bool take_all_shortcut(std::span<const KnapsackItem> items,
                        object::Units capacity, KnapsackSolution& out);
-
-/// Exactness shortcut 2: the density-greedy prefix fills the capacity
-/// exactly with a strict density gap to the first item left out.
-bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
-                            object::Units capacity,
-                            std::vector<std::size_t>& order,
-                            KnapsackSolution& out);
 
 /// Inner DP kernel used to fill the profile's value curve + decision
 /// bit-matrix. All kernels are bit-identical (locked by the differential
@@ -233,13 +229,15 @@ KnapsackSolution solve_dp(std::span<const KnapsackItem> items,
                           object::Units capacity);
 
 /// Allocation-free exact solve into `out`, borrowing `ws` for scratch.
-/// Bit-identical to the other overload. Items are validated exactly once
-/// here; two cheap exactness shortcuts (docs/performance.md) skip the
-/// O(n * capacity) DP when the optimal set is provably forced:
-///  * every positive-profit item fits within the capacity, or
-///  * the density-greedy prefix fills the capacity exactly with a strict
-///    density gap to the first item left out (the greedy value then meets
-///    the fractional upper bound, and the optimum is unique).
+/// Items are validated exactly once here. The DP runs only over the items
+/// that can enter an optimum (positive profit, size <= capacity): a
+/// zero-profit row computes max(prev[c], prev[c - s] + 0.0), which is
+/// prev[c] on the monotone value curve, so it never sets a bit or moves a
+/// value, and every kernel skips a row larger than the capacity. When the
+/// kept items all fit, the take-all shortcut (docs/performance.md) skips
+/// the DP. Both steps are exact, so chosen, value and used equal
+/// KnapsackProfile(items, capacity).solution_at(capacity) bit for bit,
+/// floating-point near-ties included (tests/knapsack_diff_test.cpp).
 void solve_dp(std::span<const KnapsackItem> items, object::Units capacity,
               KnapsackWorkspace& ws, KnapsackSolution& out);
 

@@ -512,18 +512,14 @@ struct ParallelKnapsackEngine::Impl {
       throw std::invalid_argument("ParallelKnapsackEngine: negative capacity");
     }
     ++stats.solves;
-    if (detail::take_all_shortcut(item_span, cap, out) ||
-        detail::greedy_prefix_shortcut(item_span, cap,
-                                       detail::WorkspaceAccess::order(ws),
-                                       out)) {
+    if (detail::take_all_shortcut(item_span, cap, out)) {
       ++stats.shortcut_solves;
       export_metrics();
       return;
     }
     ++stats.bnb_runs;
-    // greedy_prefix_shortcut left the density order in ws.order_.
-    const std::vector<std::size_t>& density =
-        detail::WorkspaceAccess::order(ws);
+    std::vector<std::size_t>& density = detail::WorkspaceAccess::order(ws);
+    detail::density_order(item_span, density);
     items = item_span.data();
     n = item_span.size();
     capacity = cap;
@@ -612,10 +608,6 @@ void solve_dp_word_parallel(std::span<const KnapsackItem> items,
     throw std::invalid_argument("solve_dp_word_parallel: negative capacity");
   }
   if (detail::take_all_shortcut(items, capacity, out)) return;
-  if (detail::greedy_prefix_shortcut(items, capacity,
-                                     detail::WorkspaceAccess::order(ws), out)) {
-    return;
-  }
   const std::size_t n = items.size();
   const auto cap = std::size_t(capacity);
   const std::size_t row_words = (cap + 1 + 63) / 64;

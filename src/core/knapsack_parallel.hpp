@@ -30,7 +30,11 @@
 // modest binary grid, as everywhere in this codebase where scores are
 // folded). With adversarial doubles whose near-optimal sums differ by
 // less than the pruning epsilon (1e-12), phase 1 may keep either; the
-// engine still returns an optimal-value canonical solution.
+// engine still returns an optimal-value canonical solution. Absorption
+// is the other gap: when a positive profit vanishes into the running sum
+// (1e17 + 1.0 == 1e17), solve_dp leaves the item out, but phase 2's
+// take-the-rest step still takes it — {(1, 1e17), (1, 1.0)} at capacity
+// 2 gives {0} from solve_dp and {0, 1} from the engine.
 //
 // If either phase exceeds its node budget the engine falls back to
 // solve_dp on the caller thread — the *result* is the same either way, so
@@ -78,7 +82,7 @@ struct ParallelBnbConfig {
 /// Monotone since-construction totals; readable between solves.
 struct ParallelBnbStats {
   std::uint64_t solves = 0;           // engine solve() calls
-  std::uint64_t shortcut_solves = 0;  // settled by an exactness shortcut
+  std::uint64_t shortcut_solves = 0;  // settled by the take-all shortcut
   std::uint64_t bnb_runs = 0;         // reached the branch-and-bound
   std::uint64_t dp_fallbacks = 0;     // node budget hit -> solve_dp
   std::uint64_t subproblems = 0;      // prefix-tree subproblems dispatched

@@ -481,7 +481,15 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
     }
     // Close the streamed traces (footer + fclose) before merging so the
     // exported flushed_events equals streamed_events deterministically.
+    // A trace that lost bytes fails the run rather than merge counters
+    // that no longer describe the file.
     for (auto& sink : sinks) sink->close();
+    for (const auto& sink : sinks) {
+      if (!sink->ok()) {
+        throw std::runtime_error("run_multi_cell: failed writing trace " +
+                                 sink->path());
+      }
+    }
     for (const auto& cell : result.per_cell) {
       accumulate(result.aggregate, cell);
     }

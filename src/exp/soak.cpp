@@ -338,6 +338,9 @@ SoakResult run_soak(const SoakConfig& config, util::ThreadPool* pool) {
     profiler->attach_registry(nullptr);
     result.flamegraph = profiler->flamegraph_collapsed();
   }
+  if (sink && !sink->ok()) {
+    throw std::runtime_error("run_soak: failed writing trace " + sink->path());
+  }
   return result;
 }
 

@@ -6,8 +6,12 @@
 // Profits are multiples of 0.5 well below 2^53, so every partial sum is
 // exactly representable and the comparisons are deliberately exact (==):
 // the solvers must agree to the bit, whatever order they add profits in.
+// The near-tie cases give that up on purpose: there only solve_dp is
+// compared, against the profile whose additions it must repeat exactly.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/knapsack.hpp"
@@ -25,6 +29,46 @@ std::vector<KnapsackItem> random_items(util::Rng& rng, std::size_t n,
     item.profit = rng.bernoulli(1.0 / 6.0)
                       ? 0.0
                       : 0.5 * double(rng.uniform_int(1, 40));
+  }
+  return items;
+}
+
+// Profits shaped like the simulator's: sums of recency terms
+// 1 - 1/(1 + |x/c - 1|) and k/3, k/7 rationals, over sizes 1..10. An item
+// either spends one of two per-instance rates per unit of size (folded unit
+// by unit or multiplied out) or carries one to three fresh terms whatever
+// its size, so the densities of distinct items collide or differ by an ulp.
+std::vector<KnapsackItem> near_tie_items(util::Rng& rng, std::size_t n) {
+  const auto draw_term = [&rng] {
+    switch (rng.uniform_int(0, 2)) {
+      case 0: {
+        const double x = double(rng.uniform_int(0, 4));
+        const double c = double(rng.uniform_int(1, 4));
+        return 1.0 - 1.0 / (1.0 + std::abs(x / c - 1.0));
+      }
+      case 1:
+        return double(rng.uniform_int(1, 3)) / 3.0;
+      default:
+        return double(rng.uniform_int(1, 3)) / 7.0;
+    }
+  };
+  const double rates[] = {draw_term(), draw_term()};
+  std::vector<KnapsackItem> items(n);
+  for (auto& item : items) {
+    item.size = object::Units(rng.uniform_int(1, 10));
+    const double rate = rates[rng.uniform_int(0, 1)];
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        for (object::Units u = 0; u < item.size; ++u) item.profit += rate;
+        break;
+      case 1:
+        item.profit = rate * double(item.size);
+        break;
+      default:
+        for (auto terms = rng.uniform_int(1, 3); terms > 0; --terms) {
+          item.profit += draw_term();
+        }
+    }
   }
   return items;
 }
@@ -53,6 +97,21 @@ void check_solution(const std::vector<KnapsackItem>& items,
   EXPECT_EQ(used, solution.used);
   EXPECT_LE(used, capacity);
   EXPECT_EQ(solution.value, expected_value);
+}
+
+// Sweeps capacities 0..cap: the workspace overload of solve_dp must return
+// the full profile's solution (chosen indices, value, used units) at each.
+void expect_solve_dp_matches_profile(const std::vector<KnapsackItem>& items,
+                                     object::Units cap, KnapsackWorkspace& ws,
+                                     KnapsackSolution& out) {
+  const KnapsackProfile profile(items, cap);
+  for (object::Units c = 0; c <= cap; ++c) {
+    const KnapsackSolution expected = profile.solution_at(c);
+    solve_dp(items, c, ws, out);
+    EXPECT_EQ(out.chosen, expected.chosen) << "cap " << c;
+    EXPECT_EQ(out.value, expected.value) << "cap " << c;
+    EXPECT_EQ(out.used, expected.used) << "cap " << c;
+  }
 }
 
 TEST(KnapsackDiff, ProfileMatchesAllSolversOnRandomInstances) {
@@ -123,27 +182,49 @@ TEST(KnapsackDiff, EmptyInstance) {
   }
 }
 
-// The workspace overload of solve_dp takes exactness shortcuts (take-all
-// when everything fits, greedy-prefix when the density order is decisive)
-// before falling back to the dense DP. Sweeping every capacity of many
-// random instances hits all three code paths; chosen indices, value, and
-// used units must match the DP profile bit-for-bit in each one.
+// The workspace overload of solve_dp drops the items that cannot enter an
+// optimum, tries the take-all shortcut, and otherwise runs the DP over the
+// rest. Both steps are exact, so at every capacity the answer must equal
+// the full profile's to the bit. The pinned instance comes first: items
+// 2-4 sit one ulp above item 1 in density, so a density-order argument
+// picks {0, 2, 3, 4} (4.9999999999999991) while the DP takes {0, 1},
+// worth exactly 5.0.
 TEST(KnapsackDiff, WorkspaceSolveDpMatchesProfileAtEveryCapacity) {
-  util::Rng rng(31337);
   KnapsackWorkspace ws;
   KnapsackSolution reused;
+  const double p = 0.33333333333333337;  // 1 - 2/3 in doubles
+  expect_solve_dp_matches_profile(
+      {{1, 4.0}, {6, 1.0}, {2, p}, {2, p}, {2, p}}, 7, ws, reused);
+  util::Rng rng(31337);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = std::size_t(rng.uniform_int(0, 14));
     const auto items = random_items(rng, n, 10);
     const auto cap = object::Units(rng.uniform_int(0, 60));
-    const KnapsackProfile profile(items, cap);
-    for (object::Units c = 0; c <= cap; ++c) {
-      const KnapsackSolution expected = profile.solution_at(c);
-      solve_dp(items, c, ws, reused);
-      EXPECT_EQ(reused.chosen, expected.chosen) << "cap " << c;
-      EXPECT_EQ(reused.value, expected.value) << "cap " << c;
-      EXPECT_EQ(reused.used, expected.used) << "cap " << c;
-    }
+    expect_solve_dp_matches_profile(items, cap, ws, reused);
+  }
+}
+
+// 1e17 + 1.0 rounds back to 1e17, so the DP cannot see item 1 and leaves
+// it out. Take-all must decline rather than claim both items.
+TEST(KnapsackDiff, TakeAllDeclinesWhenAProfitIsAbsorbed) {
+  const std::vector<KnapsackItem> items{{1, 1e17}, {1, 1.0}};
+  KnapsackWorkspace ws;
+  KnapsackSolution out;
+  EXPECT_FALSE(detail::take_all_shortcut(items, 2, out));
+  EXPECT_EQ(solve_dp(items, 2).chosen, (std::vector<std::size_t>{0}));
+  expect_solve_dp_matches_profile(items, 2, ws, out);
+}
+
+TEST(KnapsackDiff, NearTieFuzzSolveDpMatchesProfileAtEveryCapacity) {
+  util::Rng rng(20000815);
+  KnapsackWorkspace ws;
+  KnapsackSolution out;
+  for (int trial = 0; trial < 500; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = std::size_t(rng.uniform_int(2, 14));
+    const auto items = near_tie_items(rng, n);
+    const auto cap = object::Units(rng.uniform_int(1, 50));
+    expect_solve_dp_matches_profile(items, cap, ws, out);
   }
 }
 

@@ -262,6 +262,32 @@ TEST(KnapsackParallel, AdversarialCapLargerThanTotalWeight) {
   }
 }
 
+// Items 2-4 sit one ulp above item 1 in density, yet {0, 1} is worth
+// exactly 5.0 while the density-order fill {0, 2, 3, 4} folds to
+// 4.9999999999999991. Profits here are not on a binary grid, so the
+// engine is held to the full profile, with the search decomposed even
+// for this small instance.
+TEST(KnapsackParallel, AdversarialNearTieDensities) {
+  const double p = 0.33333333333333337;  // 1 - 2/3 in doubles
+  const std::vector<KnapsackItem> items{
+      {1, 4.0}, {6, 1.0}, {2, p}, {2, p}, {2, p}};
+  const object::Units cap = 7;
+  const KnapsackSolution expected =
+      KnapsackProfile(items, cap).solution_at(cap);
+  EXPECT_EQ(expected.chosen, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(expected.value, 5.0);
+  ParallelBnbConfig config;
+  config.serial_cutoff = 0;
+  for (std::size_t threads : {1, 2, 4}) {
+    config.threads = threads;
+    ParallelKnapsackEngine engine(config);
+    KnapsackWorkspace ws;
+    KnapsackSolution out;
+    engine.solve(items, cap, ws, out);
+    expect_same(out, expected, "near tie pool=" + std::to_string(threads));
+  }
+}
+
 // A tiny node budget must degrade to the DP fallback, never to a wrong or
 // thread-count-dependent answer.
 TEST(KnapsackParallel, NodeLimitFallbackMatchesDp) {

@@ -4,8 +4,12 @@
 // must never leak into simulation output. Also pins the shard-seed
 // stream's position-addressability and the recorder aggregation contract.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/multi_cell.hpp"
@@ -296,6 +300,30 @@ TEST(MultiCell, TopologyNames) {
                "sharded");
   EXPECT_STREQ(exp::cell_topology_name(exp::CellTopology::kCoopClusters),
                "coop-clusters");
+}
+
+// One shard's trace file points at /dev/full: the run must fail loudly,
+// naming that file, rather than report a trace that never reached disk.
+TEST(MultiCell, ShardTraceWriteFailureThrowsNamingTheFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mobi_trace_full_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/full", dir / "trace_cell0.jsonl");
+  exp::MultiCellConfig config = small_config();
+  config.trace_sample_every = 2;
+  config.trace_jsonl_dir = dir.string();
+  std::string message;
+  try {
+    exp::run_multi_cell(config);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  fs::remove_all(dir);
+  EXPECT_NE(message.find("trace_cell0.jsonl"), std::string::npos)
+      << "expected a runtime_error naming the shard's trace, got '"
+      << message << "'";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "exp/multi_cell.hpp"
 #include "exp/soak.hpp"
@@ -62,6 +63,20 @@ TEST(Soak, RejectsBadConfiguration) {
   SoakConfig sample = quick_config();
   sample.trace_sample_every = 0;
   EXPECT_THROW(run_soak(sample), std::invalid_argument);
+}
+
+// A trace file that cannot be written fails the run, naming the file,
+// instead of leaving a silently truncated trace behind.
+TEST(Soak, TraceWriteFailureThrowsNamingTheFile) {
+  SoakConfig config = quick_config();
+  config.trace_jsonl = "/dev/full";
+  try {
+    run_soak(config);
+    ADD_FAILURE() << "run_soak finished despite a failed trace sink";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Soak, BitIdenticalAcrossRunsAndPoolSizes) {
