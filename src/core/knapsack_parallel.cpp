@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <stdexcept>
@@ -64,25 +63,8 @@ struct ParallelKnapsackEngine::Impl {
       slots.back()->deque.reserve(config.subproblem_target + 2);
     }
     subs.reserve(2 * config.subproblem_target + 8);
-    if (threads > 1) {
-      // Persistent workers: submitted exactly once (submit allocates, so
-      // only here), then parked on cv_work between solves.
-      pool = std::make_unique<util::ThreadPool>(threads);
-      for (std::size_t w = 0; w < threads; ++w) {
-        pool->submit([this, w] { worker_main(w); });
-      }
-    }
-  }
-
-  ~Impl() {
-    if (pool) {
-      {
-        std::lock_guard lock(mu);
-        stop = true;
-        cv_work.notify_all();
-      }
-      pool->shutdown();
-    }
+    // The solving thread is the last of the `threads` searchers.
+    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads - 1);
   }
 
   // -- configuration / lifetime ------------------------------------------
@@ -91,16 +73,8 @@ struct ParallelKnapsackEngine::Impl {
   std::unique_ptr<util::ThreadPool> pool;  // only when threads > 1
   std::vector<std::unique_ptr<WorkerSlot>> slots;
 
-  // -- worker parking ----------------------------------------------------
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t generation = 0;
-  std::size_t workers_done = 0;
-  bool stop = false;
-
-  // -- per-solve job state (written by the caller before the generation
-  //    bump, which publishes it to the workers via mu) -------------------
+  // -- per-solve job state (written by the caller before pool->run, which
+  //    publishes it to the workers) --------------------------------------
   const KnapsackItem* items = nullptr;
   std::size_t n = 0;
   object::Units capacity = 0;
@@ -259,20 +233,6 @@ struct ParallelKnapsackEngine::Impl {
     }
   }
 
-  void worker_main(std::size_t w) {
-    std::uint64_t seen = 0;
-    std::unique_lock lock(mu);
-    for (;;) {
-      cv_work.wait(lock, [&] { return stop || generation != seen; });
-      if (stop) return;
-      seen = generation;
-      lock.unlock();
-      drain(w);
-      lock.lock();
-      if (++workers_done == threads) cv_done.notify_one();
-    }
-  }
-
   /// BFS expansion of the density-ordered tree into ~subproblem_target
   /// leaves. Pruning here uses only the greedy seed incumbent (computed
   /// before any worker runs), so the decomposition is deterministic.
@@ -328,16 +288,7 @@ struct ParallelKnapsackEngine::Impl {
       slot.deque.push_back(std::uint32_t(subs_begin + j));
       ++slot.tail;
     }
-    {
-      std::lock_guard lock(mu);
-      workers_done = 0;
-      ++generation;
-      cv_work.notify_all();
-    }
-    {
-      std::unique_lock lock(mu);
-      cv_done.wait(lock, [&] { return workers_done == threads; });
-    }
+    pool->run(threads, [this](std::size_t w) { drain(w); });
     for (auto& slot : slots) {
       stats.nodes += slot->nodes;
       stats.steals += slot->steals;

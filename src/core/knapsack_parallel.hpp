@@ -44,8 +44,9 @@
 // per-thread taken flags, reconstruction stacks) is grown to the
 // high-water mark of the instances seen, exactly like KnapsackWorkspace;
 // steady-state solves allocate nothing (tests/alloc_regression_test.cpp).
-// Workers are persistent: they are submitted to the pool once at
-// construction and parked on a condition variable between solves.
+// The engine owns a util::ThreadPool of threads - 1 workers; phase 1 is
+// one allocation-free ThreadPool::run of one index per worker slot, with
+// the solving thread as the last searcher.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +64,9 @@ class MetricsRegistry;
 namespace mobi::core {
 
 struct ParallelBnbConfig {
-  /// Worker threads; 0 means std::thread::hardware_concurrency() (floor 1).
+  /// Searching threads, the solving thread included (the engine starts
+  /// threads - 1 workers); 0 means std::thread::hardware_concurrency()
+  /// (floor 1).
   std::size_t threads = 0;
   /// Target number of subproblems carved from the search-tree prefix; the
   /// decomposition depends only on the instance (never on the thread

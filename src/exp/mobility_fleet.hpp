@@ -88,8 +88,9 @@ class MobilityFleet {
   void set_profiler(obs::PhaseProfiler* profiler);
 
   /// Runs one tick: the cell engines in parallel (serial when pool is
-  /// null), then the single-threaded mobility barrier. The serial path is
-  /// allocation-free once scratch capacities are warm.
+  /// null), then the single-threaded mobility barrier. Both paths are
+  /// allocation-free once scratch capacities are warm: the pooled fan-out
+  /// is one ThreadPool::run, with this thread taking cells too.
   void step(util::ThreadPool* pool = nullptr);
 
   sim::Tick now() const noexcept { return next_tick_; }

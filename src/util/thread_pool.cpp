@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <numeric>
 
@@ -9,24 +8,42 @@ namespace mobi::util {
 
 namespace {
 
-// Joins every future before letting the first captured exception fly.
-// Rethrowing from the first failed get() directly would unwind the
-// caller's frame — destroying the plan/cursor state the still-running
-// sibling tasks reference — so the fan-out helpers must never leave
-// before every task has finished.
-void rethrow_after_joining_all(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
+// Idle workers, and a caller that has run out of indices, spin this many
+// times before blocking on a condition variable: long enough to bridge
+// the serial gap between back-to-back jobs (a fleet's handoff barrier
+// between two ticks), short enough that a waiting thread does not hold
+// a CPU through a long serial phase.
+constexpr unsigned kSpinBudget = 1u << 14;
+// Spinners yield this often, so a pool larger than the host (8 workers
+// on 4 CPUs) does not starve the threads doing the work.
+constexpr unsigned kYieldEvery = 64;
+
+// Spins until done() holds or the budget runs out; returns done().
+template <typename Done>
+bool spin_until(const Done& done) {
+  for (unsigned spin = 1; spin <= kSpinBudget; ++spin) {
+    if (done()) return true;
+    if (spin % kYieldEvery == 0) std::this_thread::yield();
   }
-  if (first) std::rethrow_exception(first);
+  return done();
 }
 
 }  // namespace
+
+// One run() call, on the caller's stack. run_job clears job_ and waits
+// for inside_ to reach zero before returning, so no worker touches a
+// Job after its frame is gone. All atomics keep the default seq_cst
+// order: the parking handshakes (epoch_/parked_, finished/caller_parked,
+// job_/inside_) each pair a store with a load of the other variable.
+struct ThreadPool::Job {
+  const void* fn;
+  void (*call)(const void*, std::size_t);
+  std::size_t n;
+  std::atomic<std::size_t> next{0};      // next unclaimed index
+  std::atomic<std::size_t> finished{0};  // indices that have returned
+  std::atomic<bool> caller_parked{false};
+  std::exception_ptr error{};  // first exception, written under mutex_
+};
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -39,14 +56,9 @@ ThreadPool::ThreadPool(std::size_t threads) {
     }
   } catch (...) {
     // Thread creation failed partway: the destructor will not run, so the
-    // workers already started must be shut down here or they would block
-    // on cv_ forever (and the process would abort at thread destruction).
-    {
-      std::lock_guard lock(mutex_);
-      stopping_ = true;
-      cv_.notify_all();
-    }
-    for (auto& worker : workers_) worker.join();
+    // workers already started must be stopped here or the process would
+    // abort destroying joinable threads.
+    shutdown();
     throw;
   }
 }
@@ -58,26 +70,72 @@ void ThreadPool::shutdown() {
     std::lock_guard lock(mutex_);
     if (stopping_) return;  // idempotent; workers already joined or joining
     stopping_ = true;
-    // Under the lock for the same reason as submit(): an unlocked notify
-    // could interleave with a racing submit between its stopping_ check
-    // and its wait, losing the wakeup.
-    cv_.notify_all();
+    work_cv_.notify_all();
   }
   for (auto& worker : workers_) worker.join();
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
+  const auto woken = [&] { return epoch_ != seen || stopping_; };
   for (;;) {
-    std::function<void()> task;
-    {
+    if (!spin_until(woken)) {
       std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      ++parked_;
+      work_cv_.wait(lock, woken);
+      --parked_;
     }
-    task();
+    if (stopping_) return;
+    seen = epoch_;
+    ++inside_;
+    if (Job* job = job_) drain(*job);
+    --inside_;
   }
+}
+
+void ThreadPool::drain(Job& job) {
+  for (std::size_t i = job.next++; i < job.n; i = job.next++) {
+    try {
+      job.call(job.fn, i);
+    } catch (...) {
+      std::lock_guard lock(mutex_);
+      if (!job.error) job.error = std::current_exception();
+    }
+    if (++job.finished == job.n && job.caller_parked) {
+      std::lock_guard lock(mutex_);
+      done_cv_.notify_one();
+    }
+  }
+}
+
+void ThreadPool::run_job(std::size_t n, const void* fn,
+                         void (*call)(const void*, std::size_t)) {
+  if (n == 0) return;
+  Job job{fn, call, n};
+  // One job in flight per pool: a nested or concurrent call drains its
+  // own job alone instead of waiting on workers that may be its callers.
+  const bool pooled = n > 1 && !busy_.exchange(true);
+  if (pooled) {
+    job_ = &job;
+    ++epoch_;
+    if (parked_ != 0) {
+      std::lock_guard lock(mutex_);
+      work_cv_.notify_all();
+    }
+  }
+  drain(job);
+  if (pooled) {
+    job_ = nullptr;  // every index is claimed; latecomers find nothing
+    const auto done = [&] { return job.finished == n; };
+    if (!spin_until(done)) {
+      std::unique_lock lock(mutex_);
+      job.caller_parked = true;
+      done_cv_.wait(lock, done);
+    }
+    while (inside_ != 0) std::this_thread::yield();
+    busy_ = false;
+  }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
@@ -85,15 +143,13 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   std::size_t grain) {
   if (begin >= end) return;
   grain = std::max<std::size_t>(1, grain);
-  std::vector<std::future<void>> futures;
-  futures.reserve((end - begin + grain - 1) / grain);
-  for (std::size_t chunk = begin; chunk < end; chunk += grain) {
-    const std::size_t chunk_end = std::min(end, chunk + grain);
-    futures.push_back(pool.submit([&fn, chunk, chunk_end] {
-      for (std::size_t i = chunk; i < chunk_end; ++i) fn(i);
-    }));
-  }
-  rethrow_after_joining_all(futures);
+  // Both forms stay in range when grain is near SIZE_MAX.
+  const std::size_t chunks = (end - begin - 1) / grain + 1;
+  pool.run(chunks, [&](std::size_t chunk) {
+    const std::size_t first = begin + chunk * grain;
+    const std::size_t last = first + std::min(grain, end - first);
+    for (std::size_t i = first; i < last; ++i) fn(i);
+  });
 }
 
 void parallel_for(std::size_t begin, std::size_t end,
@@ -168,19 +224,14 @@ void weighted_parallel_for(ThreadPool& pool,
     }
   };
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    futures.push_back(pool.submit([&, w] {
-      drain(w, /*stealing=*/false);
-      // Steal pass: visit every other queue (starting after our own so
-      // thieves fan out instead of mobbing queue 0).
-      for (std::size_t k = 1; k < workers; ++k) {
-        drain((w + k) % workers, /*stealing=*/true);
-      }
-    }));
-  }
-  rethrow_after_joining_all(futures);
+  pool.run(workers, [&](std::size_t w) {
+    drain(w, /*stealing=*/false);
+    // Steal pass: visit every other queue (starting after our own so
+    // thieves fan out instead of mobbing queue 0).
+    for (std::size_t k = 1; k < workers; ++k) {
+      drain((w + k) % workers, /*stealing=*/true);
+    }
+  });
 
   if (stats) {
     stats->workers = workers;

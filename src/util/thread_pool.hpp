@@ -1,15 +1,18 @@
-// A small fixed-size thread pool plus a blocked-range parallel_for, used to
-// parallelize experiment sweeps (each sweep point is an independent
-// simulation). On single-core hosts the pool degrades to near-serial
-// execution with identical results: work items never share mutable state.
+// A small fixed-size thread pool with one way to run work: run(n, fn), a
+// fork-join in which the calling thread claims indices beside the
+// workers. A call publishes one job (the callable by pointer plus
+// atomic next-index and finished counters) and allocates nothing, so it
+// can fan out every simulated tick. parallel_for and
+// weighted_parallel_for are built on it. On single-core hosts the pool
+// degrades to near-serial execution with identical results: work items
+// never share mutable state.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -28,45 +31,49 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Stops accepting work, drains every queued task, and joins the
-  /// workers. Idempotent; the destructor calls it. Safe to race with
-  /// submit() from other threads: each concurrent submit either enqueues
-  /// before the stop (and its task runs to completion) or throws — no
-  /// task is ever silently dropped.
+  /// Stops and joins the workers. Idempotent; the destructor calls it. A
+  /// run() that races it, or comes after it, still runs every index: the
+  /// caller claims whatever no worker took.
   void shutdown();
 
-  /// Enqueues a task; the future resolves when it finishes. Exceptions
-  /// thrown by the task propagate through the future. Every queued task
-  /// runs before the destructor returns, so dropping the future is safe.
+  /// Runs fn(i) once for every i in [0, n) on the workers and the calling
+  /// thread, and returns when all have finished. fn must be safe to call
+  /// concurrently for distinct i. A run() entered while another is in
+  /// flight on this pool (a nested call from inside fn, or a second
+  /// calling thread) runs its indices serially on its own thread, so
+  /// calls never deadlock. The first exception thrown by fn is rethrown
+  /// only after every index has run.
   template <typename F>
-  std::future<void> submit(F&& task) {
-    auto packaged =
-        std::make_shared<std::packaged_task<void()>>(std::forward<F>(task));
-    std::future<void> result = packaged->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) throw std::runtime_error("ThreadPool::submit after shutdown");
-      queue_.emplace_back([packaged] { (*packaged)(); });
-      // Notify while still holding the lock: an unlocked notify could
-      // touch cv_ after a concurrent destructor (serialized behind this
-      // mutex) has already torn the pool down.
-      cv_.notify_one();
-    }
-    return result;
+  void run(std::size_t n, const F& fn) {
+    run_job(n, &fn, [](const void* f, std::size_t i) {
+      (*static_cast<const F*>(f))(i);
+    });
   }
 
  private:
+  struct Job;
+
+  void run_job(std::size_t n, const void* fn,
+               void (*call)(const void*, std::size_t));
+  void drain(Job& job);
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
+  std::condition_variable work_cv_;  // parked workers wait for a new epoch
+  std::condition_variable done_cv_;  // a parked caller waits for its job
+  std::atomic<std::uint64_t> epoch_{0};   // bumped once per published job
+  std::atomic<Job*> job_{nullptr};        // the job in flight, if any
+  std::atomic<std::size_t> parked_{0};    // workers blocked on work_cv_
+  std::atomic<std::size_t> inside_{0};    // workers that may touch *job_
+  std::atomic<bool> busy_{false};         // a pooled run() is in flight
+  std::atomic<bool> stopping_{false};
+  std::vector<std::thread> workers_;
 };
 
 /// Runs fn(i) for every i in [begin, end) across the pool in contiguous
-/// chunks and waits for completion. Rethrows the first task exception.
+/// chunks of `grain` indices (one run() index per chunk) and waits for
+/// completion. A throw ends its own chunk; the first exception is
+/// rethrown after every other chunk has run.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1);
@@ -97,11 +104,11 @@ struct WeightedForStats {
 /// scheduling via an LPT plan over `costs` plus dynamic work-stealing —
 /// a worker that drains its own queue pulls remaining items from the
 /// other queues, so one mis-estimated straggler cannot idle the pool.
-/// Exactly pool.size() tasks are submitted however many items there
-/// are. fn must be safe to call concurrently for distinct i (same
+/// One run() of pool.size() indices, one per queue, however many items
+/// there are. fn must be safe to call concurrently for distinct i (same
 /// contract as parallel_for); which thread runs which item is
 /// unspecified, so fn must keep results independent of placement.
-/// Rethrows the first task exception.
+/// Rethrows the first exception once every queue's pass has returned.
 void weighted_parallel_for(ThreadPool& pool,
                            const std::vector<std::uint64_t>& costs,
                            const std::function<void(std::size_t)>& fn,

@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "cache/decay.hpp"
@@ -34,6 +36,7 @@
 #include "sim/fault_plan.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/access.hpp"
 
 namespace {
@@ -185,11 +188,11 @@ TEST(AllocRegression, GreedyPolicySteadyStateIsAllocationFree) {
 }
 
 TEST(AllocRegression, ParallelBnbPolicySteadyStateIsAllocationFree) {
-  // The parallel engine parks persistent workers at construction (the one
-  // ThreadPool::submit per thread happens there); solves only touch
-  // grow-only scratch, per-slot deques and condition variables, so the
-  // steady state stays allocation-free even with the B&B path engaged on
-  // every batch (~60-90 distinct candidates, well past the serial cutoff).
+  // The parallel engine starts its pool at construction; each solve's
+  // phase 1 is one ThreadPool::run over grow-only scratch and per-slot
+  // deques, so the steady state stays allocation-free even with the B&B
+  // path engaged on every batch (~60-90 distinct candidates, well past
+  // the serial cutoff).
   run_steady_state("on-demand-knapsack-bnb:2", false);
 }
 
@@ -306,10 +309,37 @@ TEST(AllocRegression, WarmedArenaReplaySteadyStateIsAllocationFree) {
   EXPECT_GT(sum, 0.0);
 }
 
+TEST(AllocRegression, ThreadPoolRunIsAllocationFree) {
+  // The fork-join publishes one job from the caller's stack: no task
+  // objects, futures or queue nodes, whether the workers are spinning or
+  // parked when it lands (the pauses outlast their spin, so some calls
+  // must wake them). parallel_for adds only a std::function whose small
+  // trivially-copyable capture fits its inline buffer.
+  util::ThreadPool pool(2);
+  std::atomic<std::uint64_t> sum{0};
+  const auto add = [&sum](std::size_t i) { sum += i; };
+  const auto one_call = [&](std::size_t call) {
+    pool.run(16, add);
+    util::parallel_for(pool, 0, 16, [&sum, call](std::size_t i) {
+      sum += i + call;
+    });
+  };
+  for (std::size_t call = 0; call < 8; ++call) one_call(call);  // warm-up
+  const std::uint64_t before = g_allocations.load();
+  for (std::size_t call = 0; call < 200; ++call) {
+    if (call % 50 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    one_call(call);
+  }
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u) << (after - before) << " allocations in 400 calls";
+  EXPECT_GT(sum.load(), 0u);
+}
+
 TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
-  // The serial fleet path under *active* mobility: clients keep crossing
-  // cells, rosters shift, handoff windows open and close, payloads sit in
-  // flight, and every barrier appends a stats row — all on capacity
+  // The fleet path under *active* mobility, serial and on a pool of two:
+  // clients keep crossing cells, rosters shift, handoff windows open and
+  // close, payloads sit in flight, and every barrier appends a stats row
+  // — all on capacity
   // reserved in the constructor (rosters/batches/in-flight to the fleet
   // population, rows to the tick count). The station-side scratch
   // (candidate builder, knapsack workspace, downlink queue) grows with
@@ -319,7 +349,7 @@ TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
   // every station through the global worst case (a full-population
   // batch) before measurement starts. The measured churn phase keeps
   // clients hopping every tick at far smaller per-cell populations;
-  // those steady-state ticks must allocate nothing.
+  // those steady-state ticks must allocate nothing on either path.
   constexpr std::uint32_t kCells = 3;
   constexpr std::uint32_t kClients = 12;  // 4 per cell at construction
   std::vector<sim::TraceHop> trace;
@@ -348,17 +378,22 @@ TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
   config.mobility.trace = trace;
   config.mobility.handoff_ticks = 2;
   config.seed = 11;
-  exp::MobilityFleet fleet(config);
-  for (int t = 0; t < 60; ++t) fleet.step();  // warm-up: mass-dwell phases
-  const std::uint64_t warm_crossings = fleet.stats().crossings;
-  const std::uint64_t before = g_allocations.load();
-  while (!fleet.done()) fleet.step();
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u)
-      << (after - before) << " steady-state heap allocations";
-  // The measured ticks actually carried mobility traffic.
-  EXPECT_GT(fleet.stats().crossings, warm_crossings);
-  EXPECT_GT(fleet.stats().deliveries, 0u);
+  util::ThreadPool two(2);
+  util::ThreadPool* const pools[] = {nullptr, &two};
+  for (util::ThreadPool* pool : pools) {
+    SCOPED_TRACE(pool ? "pool of 2" : "serial");
+    exp::MobilityFleet fleet(config);
+    for (int t = 0; t < 60; ++t) fleet.step(pool);  // warm-up: mass dwells
+    const std::uint64_t warm_crossings = fleet.stats().crossings;
+    const std::uint64_t before = g_allocations.load();
+    while (!fleet.done()) fleet.step(pool);
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u)
+        << (after - before) << " steady-state heap allocations";
+    // The measured ticks actually carried mobility traffic.
+    EXPECT_GT(fleet.stats().crossings, warm_crossings);
+    EXPECT_GT(fleet.stats().deliveries, 0u);
+  }
 }
 
 TEST(AllocRegression, ShardedCellSteadyStateIsAllocationFree) {

@@ -3,35 +3,49 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace mobi::util {
 namespace {
 
+// Per-index hit counts of one run(), as plain ints for one comparison.
+std::vector<int> hits_of_run(ThreadPool& pool, std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  pool.run(n, [&](std::size_t i) { ++hits[i]; });
+  return std::vector<int>(hits.begin(), hits.end());
+}
+
 TEST(ThreadPool, RunsSubmittedTask) {
   ThreadPool pool(2);
   std::atomic<int> value{0};
-  pool.submit([&] { value = 42; }).get();
+  pool.run(1, [&](std::size_t) { value = 42; });
   EXPECT_EQ(value.load(), 42);
 }
 
+// Back-to-back calls publish their jobs at the same stack address, so a
+// worker that woke late for one call must not run it against the next
+// call's counters: any skipped or repeated index changes the total.
 TEST(ThreadPool, RunsManyTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&] { ++counter; }));
+  for (int call = 0; call < 200; ++call) {
+    pool.run(5, [&](std::size_t) { ++counter; });
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
+  EXPECT_EQ(counter.load(), 1000);
 }
 
 TEST(ThreadPool, PropagatesException) {
   ThreadPool pool(1);
-  auto future = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+  EXPECT_THROW(pool.run(2,
+                        [](std::size_t i) {
+                          if (i == 1) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, SizeMatchesRequested) {
@@ -42,6 +56,59 @@ TEST(ThreadPool, SizeMatchesRequested) {
 TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
+}
+
+TEST(ThreadPoolRun, EveryIndexRunsExactlyOnce) {
+  ThreadPool pool(3);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, pool.size(),
+                              pool.size() + 1, std::size_t{1000}}) {
+    EXPECT_EQ(hits_of_run(pool, n), std::vector<int>(n, 1)) << "n=" << n;
+  }
+}
+
+TEST(ThreadPoolRun, RethrowsOnlyAfterEveryOtherIndexRan) {
+  ThreadPool pool(3);
+  std::atomic<int> others{0};
+  int others_at_catch = -1;
+  try {
+    pool.run(64, [&](std::size_t i) {
+      if (i == 0) throw std::logic_error("zero");
+      ++others;
+    });
+  } catch (const std::logic_error&) {
+    others_at_catch = others.load();
+  }
+  EXPECT_EQ(others_at_catch, 63);
+}
+
+// A run() from inside fn finds the pool busy and runs serially on the
+// thread that called it instead of waiting for workers it is using.
+TEST(ThreadPoolRun, NestedRunCoversEveryIndexOnce) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(8 * 8);
+  pool.run(8, [&](std::size_t i) {
+    pool.run(8, [&](std::size_t j) { ++hits[i * 8 + j]; });
+  });
+  EXPECT_EQ(std::vector<int>(hits.begin(), hits.end()),
+            std::vector<int>(hits.size(), 1));
+}
+
+TEST(ThreadPoolRun, TwoCallingThreadsCoverEveryIndexOnce) {
+  ThreadPool pool(2);
+  std::vector<int> a;
+  std::vector<int> b;
+  std::thread other([&] {
+    for (int call = 0; call < 50 && a.empty(); ++call) {
+      const std::vector<int> hits = hits_of_run(pool, 300);
+      if (hits != std::vector<int>(300, 1)) a = hits;
+    }
+  });
+  for (int call = 0; call < 50 && b.empty(); ++call) {
+    const std::vector<int> hits = hits_of_run(pool, 300);
+    if (hits != std::vector<int>(300, 1)) b = hits;
+  }
+  other.join();
+  EXPECT_TRUE(a.empty() && b.empty()) << "a call skipped or repeated an index";
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -64,6 +131,16 @@ TEST(ParallelFor, RespectsGrainChunking) {
   std::atomic<long> sum{0};
   parallel_for(pool, 0, 100, [&](std::size_t i) { sum += long(i); }, 16);
   EXPECT_EQ(sum.load(), 99 * 100 / 2);
+}
+
+// The chunk arithmetic must not wrap when grain is huge: every index of
+// [begin, end) runs once and nothing outside it runs.
+TEST(ParallelFor, HugeGrainCoversRangeOnce) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(12);
+  parallel_for(pool, 5, 10, [&](std::size_t i) { ++hits[i]; }, SIZE_MAX);
+  EXPECT_EQ(std::vector<int>(hits.begin(), hits.end()),
+            (std::vector<int>{0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0}));
 }
 
 TEST(ParallelFor, RethrowsTaskException) {
@@ -218,90 +295,45 @@ TEST(WeightedParallelForStress, StealsUnderImbalanceWithoutDoubleRuns) {
   }
 }
 
-// Destroying a pool with futures still outstanding must run every queued
-// task before joining, so dropped futures never dangle and no submission
-// is lost. Seeded, no sleeps — the interleavings come from scheduling
-// jitter across many construct/submit/destruct cycles.
+// Destroying a pool right after run() returns races the workers' way out
+// of the job and back into their spin. Seeded, no sleeps — the
+// interleavings come from scheduling jitter across many
+// construct/run/destruct cycles.
 TEST(ThreadPoolStress, ConstructSubmitDestructHammer) {
   std::mt19937 rng(0xD15EA5E);
   for (int round = 0; round < 200; ++round) {
     const std::size_t threads = 1 + rng() % 4;
-    const int tasks = int(rng() % 65);
-    const bool harvest_futures = (rng() % 2) == 0;
-    std::atomic<int> ran{0};
+    const std::size_t tasks = rng() % 65;
+    std::atomic<std::size_t> ran{0};
     {
       ThreadPool pool(threads);
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < tasks; ++i) {
-        futures.push_back(pool.submit([&ran] { ++ran; }));
-      }
-      if (harvest_futures) {
-        for (auto& f : futures) f.get();
-      }
-      // else: destructor races the workers with futures still pending.
+      pool.run(tasks, [&ran](std::size_t) { ++ran; });
     }
     EXPECT_EQ(ran.load(), tasks) << "round " << round;
   }
 }
 
-// The destructor must leave dropped futures resolved: a queued task that
-// ran during shutdown satisfies its promise even if nobody ever calls
-// get().
-TEST(ThreadPoolStress, OutstandingFuturesResolveAfterDestruction) {
-  for (int round = 0; round < 50; ++round) {
-    std::vector<std::future<void>> futures;
-    std::atomic<int> ran{0};
-    {
-      ThreadPool pool(2);
-      for (int i = 0; i < 32; ++i) {
-        futures.push_back(pool.submit([&ran] { ++ran; }));
-      }
-    }
-    EXPECT_EQ(ran.load(), 32);
-    for (auto& f : futures) {
-      ASSERT_TRUE(f.valid());
-      EXPECT_NO_THROW(f.get());  // would throw broken_promise if dropped
-    }
-  }
-}
-
-TEST(ThreadPoolStress, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  auto f = pool.submit([&ran] { ++ran; });
-  pool.shutdown();
-  EXPECT_EQ(ran.load(), 1);  // queued work drained before join
-  EXPECT_NO_THROW(f.get());
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-  pool.shutdown();  // idempotent
-}
-
-// The race named in the audit: threads submitting while another thread
-// shuts the pool down. Every submit must either complete its task or
-// throw — accepted-then-dropped would show up as accepted > ran.
+// Threads calling run() while another thread shuts the pool down. A call
+// that loses the race runs its remaining indices on its own thread, so
+// every call covers all of its indices, during shutdown and after it.
 TEST(ThreadPoolStress, SubmitRacesShutdown) {
   std::mt19937 rng(0xBADF00D);
   for (int round = 0; round < 100; ++round) {
     ThreadPool pool(1 + rng() % 3);
-    std::atomic<int> accepted{0};
     std::atomic<int> ran{0};
     std::vector<std::thread> submitters;
     const int submitter_count = 2 + int(rng() % 3);
     for (int s = 0; s < submitter_count; ++s) {
       submitters.emplace_back([&] {
         for (int i = 0; i < 16; ++i) {
-          try {
-            pool.submit([&ran] { ++ran; });
-            ++accepted;
-          } catch (const std::runtime_error&) {
-            return;  // pool stopped; later submits would throw too
-          }
+          pool.run(4, [&ran](std::size_t) { ++ran; });
         }
       });
     }
     pool.shutdown();
     for (auto& t : submitters) t.join();
-    EXPECT_EQ(ran.load(), accepted.load()) << "round " << round;
+    pool.run(4, [&ran](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), (submitter_count * 16 + 1) * 4) << "round " << round;
   }
 }
 
