@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
   coop::run_cooperative(
-      variant_config(base, kVariants[3], "on-demand-knapsack"), recorder);
+      variant_config(base, kVariants[3], "on-demand-knapsack"), nullptr,
+      &recorder);
   bench::emit_metrics(flags, "coop", recorder);
   return 0;
 }

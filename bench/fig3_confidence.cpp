@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   base.measure_ticks = 60;
   base.update_period = 5;
 
+  util::ThreadPool pool;
   util::Table table({"budget", "on-demand mean", "on-demand ci95",
                      "async mean", "async ci95", "gap / ci"});
   for (object::Units budget : {5, 15, 30, 60}) {
@@ -32,8 +33,8 @@ int main(int argc, char** argv) {
         return exp::run_fig3_once(config, budget, on_demand);
       };
     };
-    const auto on_demand = exp::replicate_parallel(metric(true), seeds);
-    const auto async = exp::replicate_parallel(metric(false), seeds);
+    const auto on_demand = exp::replicate(metric(true), seeds, &pool);
+    const auto async = exp::replicate(metric(false), seeds, &pool);
     const double noise =
         std::max(on_demand.ci95_halfwidth + async.ci95_halfwidth, 1e-9);
     table.add_row({(long long)(budget), on_demand.mean,

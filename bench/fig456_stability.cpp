@@ -16,8 +16,9 @@ using namespace mobi;
 
 exp::Replication corner(object::Correlation size_vs_requests,
                         object::Correlation size_vs_recency,
-                        const std::vector<std::uint64_t>& seeds) {
-  return exp::replicate_parallel(
+                        const std::vector<std::uint64_t>& seeds,
+                        util::ThreadPool& pool) {
+  return exp::replicate(
       [&](std::uint64_t seed) {
         exp::SolutionSpaceConfig config;
         config.size_vs_requests = size_vs_requests;
@@ -26,7 +27,7 @@ exp::Replication corner(object::Correlation size_vs_requests,
         return double(
             exp::budget_reaching_score(exp::build_instance(config), 0.97, 50));
       },
-      seeds);
+      seeds, &pool);
 }
 
 }  // namespace
@@ -38,12 +39,13 @@ int main(int argc, char** argv) {
 
   util::Table table({"size~requests", "size~recency",
                      "corner budget mean", "ci95", "min", "max"});
+  util::ThreadPool pool;
   const auto correlations = {object::Correlation::kNegative,
                              object::Correlation::kNone,
                              object::Correlation::kPositive};
   for (auto req : correlations) {
     for (auto rec : correlations) {
-      const auto stats = corner(req, rec, seeds);
+      const auto stats = corner(req, rec, seeds, pool);
       table.add_row({std::string(object::correlation_name(req)),
                      std::string(object::correlation_name(rec)), stats.mean,
                      stats.ci95_halfwidth, stats.min, stats.max});

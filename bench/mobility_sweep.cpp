@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   config.mobility.speed_hi = kChurns[2].speed_hi;
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
-  exp::run_multi_cell(config, nullptr, &recorder);
+  exp::run_multi_cell(config, nullptr, {.recorder = &recorder});
   bench::emit_metrics(flags, "mobility", recorder);
   return 0;
 }

@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
     obs::SeriesRecorder recorder(registry);
     util::ThreadPool pool(quick ? 2 : 4);
     const exp::MultiCellResult instrumented =
-        exp::run_multi_cell(config, &pool, &recorder);
+        exp::run_multi_cell(config, &pool, {.recorder = &recorder});
     if (!same_aggregate(serial.aggregate, instrumented.aggregate)) {
       std::cerr << "FAIL: instrumented aggregate diverged\n";
       return 1;
@@ -243,6 +243,7 @@ int main(int argc, char** argv) {
   {
     exp::MultiCellConfig coop = config;
     coop.topology = exp::CellTopology::kCoopClusters;
+    coop.cell_client_counts.clear();  // sharded only: clusters reject it
     coop.cells_per_cluster = 2;
     coop.cluster.object_count = config.cell.object_count;
     coop.cluster.requests_per_tick_per_cell = quick ? 8 : 20;

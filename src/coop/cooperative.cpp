@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "cache/cache.hpp"
@@ -328,56 +329,32 @@ void CoopCluster::tick() {
   ++now_;
 }
 
-CoopResult run_cooperative(const CoopConfig& config) {
-  return run_cooperative(config, nullptr);
-}
+namespace {
 
-CoopResult run_cooperative(const CoopConfig& config,
-                           std::vector<CoopResult>* per_tick) {
-  CoopCluster cluster(config);
-  const sim::Tick total = config.warmup_ticks + config.measure_ticks;
-  for (sim::Tick t = 0; t < total; ++t) {
-    cluster.tick();
-    if (per_tick) per_tick->push_back(cluster.result());
+// The per-tick coop.* series run_cooperative records into a recorder's
+// registry (the golden_coop document).
+struct CoopMetrics {
+  CoopMetrics(obs::MetricsRegistry& r, std::size_t cells)
+      : requests(r.register_counter("coop.requests")),
+        origin_units(r.register_counter("coop.origin_units")),
+        neighbor_units(r.register_counter("coop.neighbor_units")),
+        origin_fetches(r.register_counter("coop.origin_fetches")),
+        neighbor_fetches(r.register_counter("coop.neighbor_fetches")),
+        invalidations(r.register_counter("coop.coherence.invalidations")),
+        propagations(r.register_counter("coop.coherence.propagations")),
+        lease_expiries(r.register_counter("coop.coherence.lease_expiries")),
+        peer_hits(r.register_counter("coop.coherence.peer_hits")),
+        peer_fetch_units(
+            r.register_counter("coop.coherence.peer_fetch_units")),
+        wire_units(r.register_counter("coop.coherence.wire_units")),
+        score_sum(r.register_gauge("coop.score_sum")),
+        average_score(r.register_gauge("coop.average_score")),
+        average_recency(r.register_gauge("coop.average_recency")) {
+    r.register_gauge("coop.cells").set(double(cells));
   }
-  return cluster.result();
-}
 
-CoopResult run_cooperative(const CoopConfig& config,
-                           obs::SeriesRecorder& recorder) {
-  obs::MetricsRegistry& registry = recorder.registry();
-  obs::Counter& requests = registry.register_counter("coop.requests");
-  obs::Counter& origin_units = registry.register_counter("coop.origin_units");
-  obs::Counter& neighbor_units =
-      registry.register_counter("coop.neighbor_units");
-  obs::Counter& origin_fetches =
-      registry.register_counter("coop.origin_fetches");
-  obs::Counter& neighbor_fetches =
-      registry.register_counter("coop.neighbor_fetches");
-  obs::Counter& invalidations =
-      registry.register_counter("coop.coherence.invalidations");
-  obs::Counter& propagations =
-      registry.register_counter("coop.coherence.propagations");
-  obs::Counter& lease_expiries =
-      registry.register_counter("coop.coherence.lease_expiries");
-  obs::Counter& peer_hits =
-      registry.register_counter("coop.coherence.peer_hits");
-  obs::Counter& peer_fetch_units =
-      registry.register_counter("coop.coherence.peer_fetch_units");
-  obs::Counter& wire_units =
-      registry.register_counter("coop.coherence.wire_units");
-  obs::Gauge& score_sum = registry.register_gauge("coop.score_sum");
-  obs::Gauge& average_score = registry.register_gauge("coop.average_score");
-  obs::Gauge& average_recency =
-      registry.register_gauge("coop.average_recency");
-  registry.register_gauge("coop.cells").set(double(config.cell_count));
-
-  CoopCluster cluster(config);
-  const sim::Tick total = config.warmup_ticks + config.measure_ticks;
-  CoopResult prev;
-  for (sim::Tick t = 0; t < total; ++t) {
-    cluster.tick();
-    const CoopResult& now = cluster.result();
+  // Counters advance by the cumulative result's delta since last tick.
+  void record(const CoopResult& now) {
     requests.add(now.requests - prev.requests);
     origin_units.add(std::uint64_t(now.origin_units - prev.origin_units));
     neighbor_units.add(
@@ -394,8 +371,42 @@ CoopResult run_cooperative(const CoopConfig& config,
     score_sum.set(now.score_sum);
     average_score.set(now.average_score());
     average_recency.set(now.average_recency());
-    recorder.sample(t);
     prev = now;
+  }
+
+  obs::Counter& requests;
+  obs::Counter& origin_units;
+  obs::Counter& neighbor_units;
+  obs::Counter& origin_fetches;
+  obs::Counter& neighbor_fetches;
+  obs::Counter& invalidations;
+  obs::Counter& propagations;
+  obs::Counter& lease_expiries;
+  obs::Counter& peer_hits;
+  obs::Counter& peer_fetch_units;
+  obs::Counter& wire_units;
+  obs::Gauge& score_sum;
+  obs::Gauge& average_score;
+  obs::Gauge& average_recency;
+  CoopResult prev;
+};
+
+}  // namespace
+
+CoopResult run_cooperative(const CoopConfig& config,
+                           std::vector<CoopResult>* per_tick,
+                           obs::SeriesRecorder* recorder) {
+  std::optional<CoopMetrics> metrics;
+  if (recorder) metrics.emplace(recorder->registry(), config.cell_count);
+  CoopCluster cluster(config);
+  const sim::Tick total = config.warmup_ticks + config.measure_ticks;
+  for (sim::Tick t = 0; t < total; ++t) {
+    cluster.tick();
+    if (per_tick) per_tick->push_back(cluster.result());
+    if (recorder) {
+      metrics->record(cluster.result());
+      recorder->sample(t);
+    }
   }
   return cluster.result();
 }

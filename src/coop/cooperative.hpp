@@ -158,24 +158,20 @@ class CoopCluster : public CoherenceDirectory::Listener {
   std::uint64_t updates_this_tick_ = 0;  // profiler cost scratch
 };
 
-CoopResult run_cooperative(const CoopConfig& config);
-
-/// Same simulation, additionally appending one cumulative CoopResult
-/// snapshot per tick (warmup ticks included — their rows simply carry
-/// zeros, keeping the series aligned with the tick index) so
-/// per_tick->back() equals the return value. Passing nullptr is identical
-/// to the plain overload.
+/// Runs one cluster for warmup + measure ticks. A non-null `per_tick`
+/// gets one cumulative CoopResult snapshot appended per tick (warmup
+/// ticks included — their rows simply carry zeros, keeping the series
+/// aligned with the tick index), so per_tick->back() equals the return
+/// value. A non-null `recorder` records per-tick `coop.*` metrics —
+/// request/score aggregates plus the literal `coop.coherence.{
+/// invalidations,propagations,lease_expiries,peer_hits,peer_fetch_units}`
+/// counters (and `coop.coherence.wire_units` for propagation traffic) —
+/// into its registry, one sample per tick. Sim-time only, so the
+/// exported document is bit-reproducible (the golden_coop gate). Both
+/// are observation: the result is the same with or without them.
 CoopResult run_cooperative(const CoopConfig& config,
-                           std::vector<CoopResult>* per_tick);
-
-/// Same simulation, recording per-tick `coop.*` metrics — request/score
-/// aggregates plus the literal `coop.coherence.{invalidations,
-/// propagations,lease_expiries,peer_hits,peer_fetch_units}` counters (and
-/// `coop.coherence.wire_units` for propagation traffic) — into the
-/// recorder's registry, one sample per tick. Sim-time only, so the
-/// exported document is bit-reproducible (the golden_coop gate).
-CoopResult run_cooperative(const CoopConfig& config,
-                           obs::SeriesRecorder& recorder);
+                           std::vector<CoopResult>* per_tick = nullptr,
+                           obs::SeriesRecorder* recorder = nullptr);
 
 namespace detail {
 

@@ -1,14 +1,12 @@
 #include "core/base_station.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "net/fault_injector.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 
 namespace mobi::core {
 
@@ -113,7 +111,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   // already promised outranks new speculation. In-place compaction keeps
   // the surviving entries in insertion order without allocating.
   if (!retry_queue_.empty()) {
-    obs::ScopedTrace span(trace_, "bs.retry", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.retry);
     std::size_t keep = 0;
     for (std::size_t i = 0; i < retry_queue_.size(); ++i) {
@@ -178,29 +175,15 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   ctx.now = now;
   ctx.budget = budget_left;
   {
-    obs::ScopedTrace span(trace_, "bs.select", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.select);
     phase.add_cost(batch.size());
-    if (metrics_) {
-      // Wall-clock solve time is observational only: the select call is
-      // identical on both branches, so enabling metrics cannot change
-      // what gets fetched.
-      const auto t0 = std::chrono::steady_clock::now();
-      policy_->select_into(batch, ctx, to_fetch_);
-      inst_.solve_time_us->observe(
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    } else {
-      policy_->select_into(batch, ctx, to_fetch_);
-    }
+    policy_->select_into(batch, ctx, to_fetch_);
   }
 
   // Fetch the selected objects over the fixed network. Retry successes
   // recorded above share the same batch, so one congestion draw covers
   // the whole tick's traffic.
   {
-    obs::ScopedTrace span(trace_, "bs.fetch", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.fetch);
     phase.add_cost(to_fetch_.size());
     for (object::ObjectId id : to_fetch_) {
@@ -284,7 +267,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   // a fresh tick is one counter bump instead of an O(catalog) clear
   // (the bump happened at the top of this function).
   {
-    obs::ScopedTrace span(trace_, "bs.serve", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.serve);
     phase.add_cost(batch.size());
     for (const workload::Request& request : batch) {
@@ -395,8 +377,6 @@ void BaseStation::set_metrics(obs::MetricsRegistry* registry,
   inst_.budget_left = &registry->register_gauge(prefix + ".budget_left");
   inst_.tick_score_avg =
       &registry->register_gauge(prefix + ".tick_score_avg");
-  inst_.solve_time_us = &registry->register_histogram(
-      prefix + ".solve_time_us", 0.0, 1000.0, 50);
   inst_.fetch_latency =
       &registry->register_histogram(prefix + ".fetch_latency", 0.0, 100.0, 50);
 }

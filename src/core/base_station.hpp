@@ -31,7 +31,6 @@ class MetricsRegistry;
 class Counter;
 class Gauge;
 class FixedHistogram;
-class TraceSink;
 class RequestTracer;
 class PhaseProfiler;
 }  // namespace mobi::obs
@@ -159,19 +158,14 @@ class BaseStation {
   /// (`<prefix>.requests/.hits/.stale_serves/.fresh_serves`), fetch
   /// accounting (`.fetches/.failed_fetches/.units_downloaded/
   /// .coalesced_responses`), per-tick budget gauges (`.budget_spent/
-  /// .budget_left`), a per-tick score gauge (`.tick_score_avg`) and
-  /// wall-clock histograms (`.solve_time_us`, `.fetch_latency`) — and
+  /// .budget_left`), a per-tick score gauge (`.tick_score_avg`) and a
+  /// sim-time fixed-network completion histogram (`.fetch_latency`) — and
   /// wires the owned cache (`<prefix>.cache.*`) and downlink
   /// (`<prefix>.downlink.*`) into the same registry. Pass nullptr to
   /// detach; the detached hot path costs one branch per tick section.
-  /// Wall-clock histograms are observational only and never feed back
-  /// into simulation state.
+  /// Wall-clock time per phase comes from set_profiler, not from here.
   void set_metrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "bs");
-
-  /// Attaches scoped tracing of the per-tick phases (select/fetch/serve);
-  /// nullptr (the default) disables it.
-  void set_trace(obs::TraceSink* sink) noexcept { trace_ = sink; }
 
   /// Attaches sim-time request-lifecycle tracing: arrival/hit/degraded/
   /// delivery events in the serve loop, fetch/retry events on the fetch
@@ -311,11 +305,9 @@ class BaseStation {
     obs::Gauge* budget_spent = nullptr;
     obs::Gauge* budget_left = nullptr;
     obs::Gauge* tick_score_avg = nullptr;
-    obs::FixedHistogram* solve_time_us = nullptr;
     obs::FixedHistogram* fetch_latency = nullptr;
   };
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
   obs::RequestTracer* tracer_ = nullptr;
   Instruments inst_;
 

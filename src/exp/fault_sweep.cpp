@@ -17,10 +17,6 @@ sim::FaultPlan fault_plan_at(const FaultSweepConfig& config, double rate) {
   return plan;
 }
 
-FaultSweepResult run_fault_sweep(const FaultSweepConfig& config) {
-  return run_fault_sweep(config, nullptr);
-}
-
 FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
                                  obs::SeriesRecorder* recorder) {
   FaultSweepResult result;
@@ -33,7 +29,8 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
     PolicySimConfig sim = config.base;
     sim.faults = fault_plan_at(config, rate);
     sim.policy = config.on_demand_policy;
-    point.on_demand = run_policy_sim(sim, record ? recorder : nullptr);
+    point.on_demand =
+        run_policy_sim(sim, {.recorder = record ? recorder : nullptr});
     sim.policy = config.async_policy;
     point.async_baseline = run_policy_sim(sim);
     result.points.push_back(point);

@@ -62,14 +62,11 @@ struct FaultSweepResult {
   std::vector<FaultSweepPoint> points;
 };
 
-FaultSweepResult run_fault_sweep(const FaultSweepConfig& config);
-
-/// Same sweep; additionally snapshots per-tick metrics of one
-/// representative run — the on-demand policy at the harshest fault rate —
-/// into `recorder` (fault.injected.*, bs.fault.*, bs.downlink.* and
-/// friends). nullptr is identical to the plain overload; instrumentation
-/// is read-only, so results are bit-identical either way.
+/// Runs the sweep. A non-null `recorder` snapshots per-tick metrics of
+/// one representative run — the on-demand policy at the harshest fault
+/// rate — (fault.injected.*, bs.fault.*, bs.downlink.* and friends).
+/// Instrumentation is read-only, so results are bit-identical either way.
 FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
-                                 obs::SeriesRecorder* recorder);
+                                 obs::SeriesRecorder* recorder = nullptr);
 
 }  // namespace mobi::exp

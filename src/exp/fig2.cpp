@@ -1,8 +1,7 @@
 #include "exp/fig2.hpp"
 
-#include "util/thread_pool.hpp"
-
 #include <memory>
+#include <stdexcept>
 
 #include "cache/decay.hpp"
 #include "core/base_station.hpp"
@@ -12,6 +11,7 @@
 #include "obs/recorder.hpp"
 #include "server/remote_server.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/access.hpp"
 #include "workload/requests.hpp"
 #include "workload/updates.hpp"
@@ -35,11 +35,6 @@ std::shared_ptr<const workload::AccessDistribution> make_access(
     case AccessPattern::kZipf: return workload::make_zipf_access(n, zipf_alpha);
   }
   throw std::invalid_argument("make_access: bad pattern");
-}
-
-object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
-                            std::size_t request_rate) {
-  return run_fig2_once(config, pattern, request_rate, nullptr);
 }
 
 object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
@@ -81,7 +76,10 @@ object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
   return measured;
 }
 
-Fig2Result run_fig2_parallel(const Fig2Config& config) {
+Fig2Result run_fig2(const Fig2Config& config, util::ThreadPool* pool) {
+  if (config.update_period <= 0) {
+    throw std::invalid_argument("run_fig2: update_period must be positive");
+  }
   Fig2Result result;
   result.config = config;
   result.async_downloaded = object::Units(config.object_count) *
@@ -97,34 +95,13 @@ Fig2Result run_fig2_parallel(const Fig2Config& config) {
     curve.points.resize(rates);
     result.curves.push_back(std::move(curve));
   }
-  util::parallel_for(0, 3 * rates, [&](std::size_t index) {
+  util::parallel_for(pool, 0, 3 * rates, [&](std::size_t index) {
     const std::size_t p = index / rates;
     const std::size_t r = index % rates;
     const std::size_t rate = config.request_rates[r];
     result.curves[p].points[r] =
         Fig2Point{rate, run_fig2_once(config, patterns[p], rate)};
   });
-  return result;
-}
-
-Fig2Result run_fig2(const Fig2Config& config) {
-  Fig2Result result;
-  result.config = config;
-  result.async_downloaded = object::Units(config.object_count) *
-                            config.object_size *
-                            (config.measure_ticks / config.update_period);
-  for (AccessPattern pattern : {AccessPattern::kUniform,
-                                AccessPattern::kRankLinear,
-                                AccessPattern::kZipf}) {
-    Fig2Curve curve;
-    curve.pattern = pattern;
-    curve.points.reserve(config.request_rates.size());
-    for (std::size_t rate : config.request_rates) {
-      curve.points.push_back(
-          Fig2Point{rate, run_fig2_once(config, pattern, rate)});
-    }
-    result.curves.push_back(std::move(curve));
-  }
   return result;
 }
 

@@ -25,6 +25,10 @@ namespace mobi::workload {
 class AccessDistribution;
 }  // namespace mobi::workload
 
+namespace mobi::util {
+class ThreadPool;
+}  // namespace mobi::util
+
 namespace mobi::exp {
 
 enum class AccessPattern { kUniform, kRankLinear, kZipf };
@@ -67,23 +71,18 @@ struct Fig2Result {
 };
 
 /// Runs one simulation: returns units downloaded by the on-demand
-/// stale-only policy during the measure window.
-object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
-                            std::size_t request_rate);
-
-/// Same single simulation with per-tick metrics snapshotted into
-/// `recorder` (base station + cache + downlink + servers); nullptr is
-/// identical to the plain overload.
+/// stale-only policy during the measure window. A non-null `recorder`
+/// snapshots per-tick metrics (base station + cache + downlink +
+/// servers); observation never changes the result.
 object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
                             std::size_t request_rate,
-                            obs::SeriesRecorder* recorder);
+                            obs::SeriesRecorder* recorder = nullptr);
 
-/// Full sweep over request rates and the three access patterns.
-Fig2Result run_fig2(const Fig2Config& config);
-
-/// Same sweep with every (pattern, rate) simulation dispatched onto the
-/// process-wide thread pool. Each point is an independent simulation with
-/// its own seed-derived RNG, so results are identical to run_fig2.
-Fig2Result run_fig2_parallel(const Fig2Config& config);
+/// Full sweep over request rates and the three access patterns. A
+/// non-null `pool` runs the (pattern, rate) simulations on it; each is
+/// independent with its own seed-derived RNG, so the result is the same
+/// either way. Throws std::invalid_argument unless update_period > 0.
+Fig2Result run_fig2(const Fig2Config& config,
+                    util::ThreadPool* pool = nullptr);
 
 }  // namespace mobi::exp

@@ -1,7 +1,5 @@
 #include "exp/fig3.hpp"
 
-#include "util/thread_pool.hpp"
-
 #include <memory>
 
 #include "cache/decay.hpp"
@@ -12,6 +10,7 @@
 #include "obs/recorder.hpp"
 #include "server/remote_server.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/access.hpp"
 #include "workload/requests.hpp"
 #include "workload/trace.hpp"
@@ -76,38 +75,17 @@ double run_trace(const Fig3Config& config, const workload::Trace& trace,
 }  // namespace
 
 double run_fig3_once(const Fig3Config& config, object::Units budget,
-                     bool on_demand) {
-  const workload::Trace trace = build_trace(config);
-  return run_trace(config, trace, budget, on_demand);
-}
-
-double run_fig3_once(const Fig3Config& config, object::Units budget,
                      bool on_demand, obs::SeriesRecorder* recorder) {
   const workload::Trace trace = build_trace(config);
   return run_trace(config, trace, budget, on_demand, recorder);
 }
 
-Fig3Result run_fig3(const Fig3Config& config) {
-  Fig3Result result;
-  result.config = config;
-  const workload::Trace trace = build_trace(config);
-  result.points.reserve(config.budgets.size());
-  for (object::Units budget : config.budgets) {
-    Fig3Point point;
-    point.budget = budget;
-    point.on_demand_recency = run_trace(config, trace, budget, true);
-    point.async_recency = run_trace(config, trace, budget, false);
-    result.points.push_back(point);
-  }
-  return result;
-}
-
-Fig3Result run_fig3_parallel(const Fig3Config& config) {
+Fig3Result run_fig3(const Fig3Config& config, util::ThreadPool* pool) {
   Fig3Result result;
   result.config = config;
   const workload::Trace trace = build_trace(config);
   result.points.resize(config.budgets.size());
-  util::parallel_for(0, config.budgets.size(), [&](std::size_t i) {
+  util::parallel_for(pool, 0, config.budgets.size(), [&](std::size_t i) {
     const object::Units budget = config.budgets[i];
     Fig3Point point;
     point.budget = budget;

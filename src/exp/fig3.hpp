@@ -20,6 +20,10 @@ namespace mobi::obs {
 class SeriesRecorder;
 }  // namespace mobi::obs
 
+namespace mobi::util {
+class ThreadPool;
+}  // namespace mobi::util
+
 namespace mobi::exp {
 
 struct Fig3Config {
@@ -48,18 +52,15 @@ struct Fig3Result {
 
 /// One (policy, budget) simulation; returns the mean recency of all copies
 /// delivered during the measure window. `on_demand` false = round robin.
+/// A non-null `recorder` snapshots per-tick metrics; observation never
+/// changes the result.
 double run_fig3_once(const Fig3Config& config, object::Units budget,
-                     bool on_demand);
+                     bool on_demand, obs::SeriesRecorder* recorder = nullptr);
 
-/// Same single simulation with per-tick metrics snapshotted into
-/// `recorder`; nullptr is identical to the plain overload.
-double run_fig3_once(const Fig3Config& config, object::Units budget,
-                     bool on_demand, obs::SeriesRecorder* recorder);
-
-Fig3Result run_fig3(const Fig3Config& config);
-
-/// Budget sweep dispatched onto the process-wide thread pool; all points
-/// replay the same pre-generated trace, so results equal run_fig3.
-Fig3Result run_fig3_parallel(const Fig3Config& config);
+/// Budget sweep. A non-null `pool` runs the budgets on it; all points
+/// replay the same pre-generated trace, so the result is the same either
+/// way.
+Fig3Result run_fig3(const Fig3Config& config,
+                    util::ThreadPool* pool = nullptr);
 
 }  // namespace mobi::exp

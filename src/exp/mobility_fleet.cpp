@@ -148,14 +148,8 @@ void MobilityFleet::step(util::ThreadPool* pool) {
     // region; the workers themselves never touch the profiler.
     obs::ScopedPhase span(profiler_, cells_phase_);
     span.add_cost(cells_.size());
-    if (pool) {
-      util::parallel_for(*pool, 0, cells_.size(),
-                         [this, t](std::size_t i) {
-                           cells_[i]->tick(t);
-                         });
-    } else {
-      for (auto& cell : cells_) cell->tick(t);
-    }
+    util::parallel_for(pool, 0, cells_.size(),
+                       [this, t](std::size_t i) { cells_[i]->tick(t); });
   }
   {
     obs::ScopedPhase span(profiler_, barrier_phase_);

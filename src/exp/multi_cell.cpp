@@ -319,13 +319,13 @@ void dispatch_shards(util::ThreadPool* pool, ShardSchedule schedule,
   }
   switch (schedule) {
     case ShardSchedule::kQueue:
-      util::parallel_for(*pool, 0, shards, run_one, 1);
+      util::parallel_for(pool, 0, shards, run_one, 1);
       if (stats) stats->workers = pool->size();
       break;
     case ShardSchedule::kStaticBlocked: {
       const std::size_t workers = std::max<std::size_t>(1, pool->size());
       const std::size_t grain = (shards + workers - 1) / workers;
-      util::parallel_for(*pool, 0, shards, run_one, grain);
+      util::parallel_for(pool, 0, shards, run_one, grain);
       if (stats) {
         stats->workers = workers;
         for (std::size_t block = 0; block < shards; block += grain) {
@@ -347,23 +347,22 @@ void dispatch_shards(util::ThreadPool* pool, ShardSchedule schedule,
 
 MultiCellResult run_multi_cell(const MultiCellConfig& config,
                                util::ThreadPool* pool,
-                               obs::SeriesRecorder* recorder) {
-  MultiCellObservers observers;
-  observers.recorder = recorder;
-  return run_multi_cell(config, pool, observers);
-}
-
-MultiCellResult run_multi_cell(const MultiCellConfig& config,
-                               util::ThreadPool* pool,
                                const MultiCellObservers& observers) {
   obs::SeriesRecorder* recorder = observers.recorder;
   if (config.cell_count == 0) {
     throw std::invalid_argument("run_multi_cell: need >= 1 cell");
   }
-  if (!config.mobility.empty() &&
-      config.topology != CellTopology::kSharded) {
-    throw std::invalid_argument(
-        "run_multi_cell: mobility requires sharded topology");
+  if (config.topology != CellTopology::kSharded) {
+    if (!config.mobility.empty()) {
+      throw std::invalid_argument(
+          "run_multi_cell: mobility requires sharded topology");
+    }
+    if (config.trace_sample_every > 0 || !config.trace_jsonl_dir.empty() ||
+        !config.cell_client_counts.empty()) {
+      throw std::invalid_argument(
+          "run_multi_cell: trace_sample_every, trace_jsonl_dir and "
+          "cell_client_counts require sharded topology");
+    }
   }
   if (observers.windows != nullptr && recorder == nullptr) {
     throw std::invalid_argument(

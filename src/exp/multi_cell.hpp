@@ -65,8 +65,8 @@ struct MultiCellConfig {
   /// Retain the per-shard per-tick series in the result (the driver
   /// always collects them internally when a recorder is attached).
   bool keep_series = false;
-  /// Request-lifecycle tracing (sharded topology only; ignored for coop
-  /// clusters). 0 disables; N >= 1 gives every shard its own
+  /// Request-lifecycle tracing (sharded topology only; coop clusters
+  /// reject a nonzero value). 0 disables; N >= 1 gives every shard its own
   /// RequestTracer sampling every N-th arrival. Each shard's sim-time
   /// latency histograms land in a private per-shard registry and are
   /// merged — in shard order, after the join — into the recorder's
@@ -195,14 +195,12 @@ struct MultiCellObservers {
 /// shard order; otherwise shards are dispatched onto the pool. With a
 /// recorder attached, per-tick shard series are summed (in shard order)
 /// into `mc.*` registry metrics and sampled once per tick after all
-/// shards complete — identical output whatever the pool size.
+/// shards complete — identical output whatever the pool size. Invalid
+/// configs throw std::invalid_argument before any work, including the
+/// sharded-only options (tracing, per-cell client counts, mobility) on
+/// coop clusters.
 MultiCellResult run_multi_cell(const MultiCellConfig& config,
                                util::ThreadPool* pool = nullptr,
-                               obs::SeriesRecorder* recorder = nullptr);
-
-/// Same run with the full observer set attached.
-MultiCellResult run_multi_cell(const MultiCellConfig& config,
-                               util::ThreadPool* pool,
-                               const MultiCellObservers& observers);
+                               const MultiCellObservers& observers = {});
 
 }  // namespace mobi::exp

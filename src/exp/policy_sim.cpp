@@ -23,28 +23,13 @@
 
 namespace mobi::exp {
 
-PolicySimResult run_policy_sim(const PolicySimConfig& config) {
-  return run_policy_sim(config, nullptr, nullptr);
-}
-
-PolicySimResult run_policy_sim(const PolicySimConfig& config,
-                               obs::SeriesRecorder* recorder) {
-  return run_policy_sim(config, recorder, nullptr);
-}
-
-PolicySimResult run_policy_sim(const PolicySimConfig& config,
-                               obs::SeriesRecorder* recorder,
-                               obs::RequestTracer* tracer) {
-  SimObservers observers;
-  observers.recorder = recorder;
-  observers.tracer = tracer;
-  return run_policy_sim(config, observers);
-}
-
 PolicySimResult run_policy_sim(const PolicySimConfig& config,
                                const SimObservers& observers) {
   obs::SeriesRecorder* recorder = observers.recorder;
   obs::RequestTracer* tracer = observers.tracer;
+  if (config.object_count == 0) {
+    throw std::invalid_argument("run_policy_sim: object_count must be >= 1");
+  }
   if (observers.windows != nullptr && recorder == nullptr) {
     throw std::invalid_argument(
         "run_policy_sim: windows require a recorder (the aggregator reads "

@@ -73,33 +73,20 @@ struct PolicySimResult {
   object::Units downlink_dropped = 0;
 };
 
-PolicySimResult run_policy_sim(const PolicySimConfig& config);
-
-/// Same simulation with per-tick observability: the base station, its
-/// cache/downlink, and the server pool register their metrics in
-/// `recorder`'s registry and the recorder snapshots them once per tick
-/// (warmup included — series carry the tick index, so consumers can crop).
-/// Passing nullptr is identical to the plain overload. Instrumentation is
-/// read-only; results are bit-identical either way (the determinism suite
-/// enforces this).
-PolicySimResult run_policy_sim(const PolicySimConfig& config,
-                               obs::SeriesRecorder* recorder);
-
-/// Adds request-lifecycle tracing on top of the recorder overload: the
-/// tracer is attached to the base station (and through it the downlink
-/// and fixed network) for the whole run. The caller owns the tracer and
-/// decides whether to register its `lat.*` histograms in a registry —
-/// this function does not, so one tracer can be reused across runs.
-/// Either pointer may be null; both null is the plain overload.
-PolicySimResult run_policy_sim(const PolicySimConfig& config,
-                               obs::SeriesRecorder* recorder,
-                               obs::RequestTracer* tracer);
-
-/// The full observability hookup for one simulation run. Everything is
-/// optional and observation-only: any combination of hooks produces
-/// results bit-identical to the bare run.
+/// The observability hookup for one simulation run. Everything is
+/// optional, owned by the caller and observation-only: any combination
+/// of hooks produces results bit-identical to the bare run (the
+/// determinism suite enforces this).
 struct SimObservers {
+  /// The base station, its cache/downlink, the server pool and any fault
+  /// injector register their metrics in the recorder's registry, and the
+  /// recorder snapshots them once per tick (warmup included — series
+  /// carry the tick index, so consumers can crop).
   obs::SeriesRecorder* recorder = nullptr;
+  /// Request-lifecycle tracing, attached to the base station (and through
+  /// it the downlink and fixed network) for the whole run. The caller
+  /// decides whether to register its `lat.*` histograms in a registry —
+  /// run_policy_sim does not, so one tracer can be reused across runs.
   obs::RequestTracer* tracer = nullptr;
   /// Windowed aggregation: begin() is called after every component has
   /// registered its metrics (so the column set is complete), on_tick()
@@ -113,7 +100,9 @@ struct SimObservers {
   obs::PhaseProfiler* profiler = nullptr;
 };
 
+/// Runs one simulation. Throws std::invalid_argument for an empty
+/// catalog, an unknown policy or scorer, or windows without a recorder.
 PolicySimResult run_policy_sim(const PolicySimConfig& config,
-                               const SimObservers& observers);
+                               const SimObservers& observers = {});
 
 }  // namespace mobi::exp

@@ -20,30 +20,9 @@ Replication summarize(const util::Summary& summary) {
 }
 
 Replication replicate(const std::function<double(std::uint64_t)>& metric,
-                      const std::vector<std::uint64_t>& seeds) {
+                      const std::vector<std::uint64_t>& seeds,
+                      util::ThreadPool* pool) {
   if (!metric) throw std::invalid_argument("replicate: null metric");
-  util::Summary summary;
-  for (std::uint64_t seed : seeds) summary.add(metric(seed));
-  return summarize(summary);
-}
-
-Replication replicate_parallel(
-    const std::function<double(std::uint64_t)>& metric,
-    const std::vector<std::uint64_t>& seeds) {
-  if (!metric) throw std::invalid_argument("replicate_parallel: null metric");
-  std::vector<double> values(seeds.size());
-  util::parallel_for(0, seeds.size(), [&](std::size_t i) {
-    values[i] = metric(seeds[i]);
-  });
-  util::Summary summary;
-  for (double v : values) summary.add(v);
-  return summarize(summary);
-}
-
-Replication replicate_parallel(
-    const std::function<double(std::uint64_t)>& metric,
-    const std::vector<std::uint64_t>& seeds, util::ThreadPool& pool) {
-  if (!metric) throw std::invalid_argument("replicate_parallel: null metric");
   std::vector<double> values(seeds.size());
   util::parallel_for(pool, 0, seeds.size(), [&](std::size_t i) {
     values[i] = metric(seeds[i]);

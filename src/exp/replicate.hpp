@@ -25,24 +25,15 @@ struct Replication {
 
 Replication summarize(const util::Summary& summary);
 
-/// Runs `metric(seed)` once per seed, serially.
-Replication replicate(const std::function<double(std::uint64_t)>& metric,
-                      const std::vector<std::uint64_t>& seeds);
-
-/// Same, dispatched onto the process-wide thread pool. `metric` must be
+/// Runs `metric(seed)` once per seed: serially when `pool` is null,
+/// otherwise dispatched onto the pool, in which case `metric` must be
 /// safe to call concurrently (each call self-contained — the norm for
 /// this library's experiment runners). Values are collected into a
 /// seed-indexed buffer and reduced in seed order, so the result is
-/// bit-identical to serial `replicate` whatever the scheduling.
-Replication replicate_parallel(
-    const std::function<double(std::uint64_t)>& metric,
-    const std::vector<std::uint64_t>& seeds);
-
-/// Same, on a caller-provided pool (the determinism suite sweeps pool
-/// sizes with this).
-Replication replicate_parallel(
-    const std::function<double(std::uint64_t)>& metric,
-    const std::vector<std::uint64_t>& seeds, util::ThreadPool& pool);
+/// bit-identical whatever the pool size.
+Replication replicate(const std::function<double(std::uint64_t)>& metric,
+                      const std::vector<std::uint64_t>& seeds,
+                      util::ThreadPool* pool = nullptr);
 
 /// seeds {base, base+1, ..., base+count-1} — convenient default ladder.
 std::vector<std::uint64_t> seed_ladder(std::uint64_t base, std::size_t count);

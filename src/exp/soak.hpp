@@ -7,11 +7,12 @@
 //   - a single-station policy simulation with the full fault cocktail and
 //     a RequestTracer attached (lat.* histograms, trace event counts),
 //   - a sharded multi-cell run with per-shard tracing merged into mc.lat.*.
-// Every extracted series is simulation-time only — wall-clock histograms
-// (bs.solve_time_us etc.) are deliberately excluded — so the soak output
-// is bit-reproducible and a checked-in golden artifact can gate CI via
-// tools/metrics_diff. Window seeds derive from shard_seed(seed, ...), so
-// windows are independent streams and the ramp can be resharded.
+// Every extracted series is simulation-time only — the profiler's
+// wall-clock prof.phase.*.wall_ns columns are deliberately excluded — so
+// the soak output is bit-reproducible and a checked-in golden artifact
+// can gate CI via tools/metrics_diff. Window seeds derive from
+// shard_seed(seed, ...), so windows are independent streams and the ramp
+// can be resharded.
 #pragma once
 
 #include <cstdint>

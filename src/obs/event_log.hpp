@@ -4,7 +4,7 @@
 // sim-time latency histograms (ticks-to-serve, retry delay, downlink
 // queue wait, served-recency gap) derived on the fly.
 //
-// Unlike obs::ScopedTrace (wall-clock phase spans), everything here is
+// Unlike obs::PhaseProfiler's wall-clock spans, everything here is
 // measured in ticks and recency units, so traces are bit-reproducible.
 // The same contracts as the metrics layer apply: components hold a
 // null-by-default RequestTracer pointer (the disabled path is one

@@ -138,24 +138,22 @@ void ThreadPool::run_job(std::size_t n, const void* fn,
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain) {
   if (begin >= end) return;
+  if (!pool) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
+  }
   grain = std::max<std::size_t>(1, grain);
   // Both forms stay in range when grain is near SIZE_MAX.
   const std::size_t chunks = (end - begin - 1) / grain + 1;
-  pool.run(chunks, [&](std::size_t chunk) {
+  pool->run(chunks, [&](std::size_t chunk) {
     const std::size_t first = begin + chunk * grain;
     const std::size_t last = first + std::min(grain, end - first);
     for (std::size_t i = first; i < last; ++i) fn(i);
   });
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  parallel_for(default_pool(), begin, end, fn, grain);
 }
 
 std::uint64_t LptPlan::makespan() const noexcept {
@@ -238,11 +236,6 @@ void weighted_parallel_for(ThreadPool& pool,
     stats->planned_makespan = plan.makespan();
     stats->steals = steals.load(std::memory_order_relaxed);
   }
-}
-
-ThreadPool& default_pool() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace mobi::util

@@ -73,8 +73,9 @@ class ThreadPool {
 /// Runs fn(i) for every i in [begin, end) across the pool in contiguous
 /// chunks of `grain` indices (one run() index per chunk) and waits for
 /// completion. A throw ends its own chunk; the first exception is
-/// rethrown after every other chunk has run.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+/// rethrown after every other chunk has run. A null pool runs every
+/// index in order on the calling thread, and a throw stops it there.
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1);
 
@@ -113,13 +114,5 @@ void weighted_parallel_for(ThreadPool& pool,
                            const std::vector<std::uint64_t>& costs,
                            const std::function<void(std::size_t)>& fn,
                            WeightedForStats* stats = nullptr);
-
-/// Convenience overload using a process-wide default pool.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
-
-/// The process-wide default pool (lazily constructed, hardware-sized).
-ThreadPool& default_pool();
 
 }  // namespace mobi::util

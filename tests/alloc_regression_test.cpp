@@ -320,7 +320,7 @@ TEST(AllocRegression, ThreadPoolRunIsAllocationFree) {
   const auto add = [&sum](std::size_t i) { sum += i; };
   const auto one_call = [&](std::size_t call) {
     pool.run(16, add);
-    util::parallel_for(pool, 0, 16, [&sum, call](std::size_t i) {
+    util::parallel_for(&pool, 0, 16, [&sum, call](std::size_t i) {
       sum += i + call;
     });
   };

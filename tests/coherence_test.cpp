@@ -589,7 +589,7 @@ TEST(CoherenceRecorder, CountersMatchResultAndReproduce) {
   CoopConfig config = coherent_config(ConsistencyMode::kPropagate, false, 11);
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
-  const CoopResult result = run_cooperative(config, recorder);
+  const CoopResult result = run_cooperative(config, nullptr, &recorder);
   EXPECT_EQ(registry.find_counter("coop.coherence.propagations")->value(),
             result.propagations);
   EXPECT_EQ(registry.find_counter("coop.coherence.peer_hits")->value(),
@@ -602,10 +602,17 @@ TEST(CoherenceRecorder, CountersMatchResultAndReproduce) {
   EXPECT_EQ(recorder.samples(), std::size_t(config.warmup_ticks +
                                             config.measure_ticks));
 
+  // Observation is read-only: the bare run matches field for field, and a
+  // run with the series and the recorder both attached matches too, with
+  // the last series row equal to the result and the same export.
+  expect_identical(run_cooperative(config), result);
   obs::MetricsRegistry registry2;
   obs::SeriesRecorder recorder2(registry2);
-  const CoopResult again = run_cooperative(config, recorder2);
+  std::vector<CoopResult> per_tick;
+  const CoopResult again = run_cooperative(config, &per_tick, &recorder2);
   expect_identical(result, again);
+  ASSERT_EQ(per_tick.size(), recorder2.samples());
+  expect_identical(per_tick.back(), again);
   EXPECT_EQ(registry.to_json(), registry2.to_json());
 }
 

@@ -1,6 +1,6 @@
 // Determinism suite: (a) parallel replication is bit-identical to serial
 // replication regardless of pool size, and (b) attaching the observability
-// layer (registry + recorder + trace sink) never perturbs simulation
+// layer (registry + recorder + phase profiler) never perturbs simulation
 // results. These tests pin the "observation is read-only" contract.
 #include <gtest/gtest.h>
 
@@ -16,8 +16,8 @@
 #include "exp/replicate.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mobi {
@@ -71,12 +71,8 @@ TEST(Determinism, ParallelReplicateMatchesSerialForAllPoolSizes) {
 
   for (std::size_t pool_size : {1u, 2u, 8u}) {
     util::ThreadPool pool(pool_size);
-    const exp::Replication parallel =
-        exp::replicate_parallel(metric, seeds, pool);
-    expect_identical(serial, parallel);
+    expect_identical(serial, exp::replicate(metric, seeds, &pool));
   }
-  // The default-pool overload must agree too.
-  expect_identical(serial, exp::replicate_parallel(metric, seeds));
 }
 
 TEST(Determinism, InstrumentedPolicySimBitIdenticalToPlain) {
@@ -85,7 +81,8 @@ TEST(Determinism, InstrumentedPolicySimBitIdenticalToPlain) {
 
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
-  const exp::PolicySimResult instrumented = exp::run_policy_sim(config, &recorder);
+  const exp::PolicySimResult instrumented =
+      exp::run_policy_sim(config, {.recorder = &recorder});
 
   expect_identical(plain, instrumented);
   // And the recorder really observed the run: one sample per tick
@@ -96,9 +93,6 @@ TEST(Determinism, InstrumentedPolicySimBitIdenticalToPlain) {
   const auto& requests = recorder.series("bs.requests");
   EXPECT_GE(requests.back(), double(plain.requests));
   EXPECT_GT(registry.find_counter("bs.fetches")->value(), 0u);
-
-  // nullptr recorder routes through the same overload and must also match.
-  expect_identical(plain, exp::run_policy_sim(config, nullptr));
 }
 
 TEST(Determinism, InstrumentedFig2AndFig3BitIdenticalToPlain) {
@@ -127,7 +121,7 @@ TEST(Determinism, InstrumentedFig2AndFig3BitIdenticalToPlain) {
 }
 
 // Drives two identically-configured BaseStations through the same request
-// stream — one bare, one with registry + recorder + trace sink attached —
+// stream — one bare, one with registry + recorder + phase profiler attached —
 // and requires every TickResult field to match exactly. Fetch failures are
 // enabled so the failure RNG consumption is covered too.
 TEST(Determinism, InstrumentedBaseStationBitIdenticalToBare) {
@@ -149,10 +143,10 @@ TEST(Determinism, InstrumentedBaseStationBitIdenticalToBare) {
 
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
-  obs::TraceSink sink;
+  obs::PhaseProfiler profiler;
   instrumented.set_metrics(&registry);
   servers_b.set_metrics(&registry);
-  instrumented.set_trace(&sink);
+  instrumented.set_profiler(&profiler);
 
   std::mt19937 rng(0xC0FFEE);
   std::size_t expected_requests = 0;
@@ -198,10 +192,10 @@ TEST(Determinism, InstrumentedBaseStationBitIdenticalToBare) {
                 registry.find_counter("bs.fresh_serves")->value(),
             hits);
   EXPECT_EQ(recorder.samples(), 40u);
-  // Tracing captured all three per-tick phases.
-  EXPECT_EQ(sink.summary("bs.select").count(), 40u);
-  EXPECT_EQ(sink.summary("bs.serve").count(), 40u);
-  EXPECT_GT(sink.summary("bs.fetch").count(), 0u);
+  // The profiler timed all three per-tick phases.
+  EXPECT_EQ(profiler.calls(profiler.phase("bs.select")), 40u);
+  EXPECT_EQ(profiler.calls(profiler.phase("bs.serve")), 40u);
+  EXPECT_GT(profiler.calls(profiler.phase("bs.fetch")), 0u);
 }
 
 void expect_identical(const client::CellResult& a,
@@ -241,7 +235,7 @@ TEST(Determinism, TracedPolicySimBitIdenticalToUntraced) {
   obs::RequestTracer tracer;
   tracer.register_histograms(&registry);
   const exp::PolicySimResult traced =
-      exp::run_policy_sim(config, &recorder, &tracer);
+      exp::run_policy_sim(config, {.recorder = &recorder, .tracer = &tracer});
 
   expect_identical(plain, traced);
   EXPECT_EQ(plain.failed_fetches, traced.failed_fetches);
@@ -257,11 +251,8 @@ TEST(Determinism, TracedPolicySimBitIdenticalToUntraced) {
   obs::RequestTracer::Config thinned;
   thinned.sample_every = 4;
   obs::RequestTracer sampled(thinned);
-  expect_identical(plain, exp::run_policy_sim(config, nullptr, &sampled));
+  expect_identical(plain, exp::run_policy_sim(config, {.tracer = &sampled}));
   EXPECT_LT(sampled.log().size(), tracer.log().size());
-
-  // Both-null routes through the same overload and must also match.
-  expect_identical(plain, exp::run_policy_sim(config, nullptr, nullptr));
 }
 
 // The parallel B&B knapsack engine promises *selection identity* with the
@@ -308,7 +299,7 @@ TEST(Determinism, TracedMultiCellBitIdenticalAcrossPoolSizes) {
   obs::MetricsRegistry serial_registry;
   obs::SeriesRecorder serial_recorder(serial_registry);
   const exp::MultiCellResult serial =
-      exp::run_multi_cell(config, nullptr, &serial_recorder);
+      exp::run_multi_cell(config, nullptr, {.recorder = &serial_recorder});
   const std::string serial_export = serial_registry.to_json();
   ASSERT_EQ(serial.shard_traces.size(), config.cell_count);
   EXPECT_GT(serial_registry.find_counter("mc.trace.events")->value(), 0u);
@@ -320,7 +311,7 @@ TEST(Determinism, TracedMultiCellBitIdenticalAcrossPoolSizes) {
     obs::MetricsRegistry registry;
     obs::SeriesRecorder recorder(registry);
     const exp::MultiCellResult pooled =
-        exp::run_multi_cell(config, &pool, &recorder);
+        exp::run_multi_cell(config, &pool, {.recorder = &recorder});
     SCOPED_TRACE("pool size " + std::to_string(pool_size));
     expect_identical(serial.aggregate, pooled.aggregate);
     for (std::size_t i = 0; i < config.cell_count; ++i) {
@@ -379,7 +370,7 @@ TEST(Determinism, SkewScheduledMultiCellBitIdenticalAcrossPoolSizes) {
   obs::MetricsRegistry serial_registry;
   obs::SeriesRecorder serial_recorder(serial_registry);
   const exp::MultiCellResult serial =
-      exp::run_multi_cell(config, nullptr, &serial_recorder);
+      exp::run_multi_cell(config, nullptr, {.recorder = &serial_recorder});
   const std::string serial_export = serial_registry.to_json();
   EXPECT_GT(serial.aggregate.failed_fetches, 0u)
       << "fault plan must be active, not vacuously identical";
@@ -395,7 +386,7 @@ TEST(Determinism, SkewScheduledMultiCellBitIdenticalAcrossPoolSizes) {
       obs::MetricsRegistry registry;
       obs::SeriesRecorder recorder(registry);
       const exp::MultiCellResult pooled =
-          exp::run_multi_cell(config, &pool, &recorder);
+          exp::run_multi_cell(config, &pool, {.recorder = &recorder});
       expect_identical(serial.aggregate, pooled.aggregate);
       for (std::size_t i = 0; i < config.cell_count; ++i) {
         expect_identical(serial.per_cell[i], pooled.per_cell[i]);
@@ -455,7 +446,7 @@ TEST(Determinism, CoherentCoopMultiCellBitIdenticalAcrossPoolSizes) {
     obs::MetricsRegistry serial_registry;
     obs::SeriesRecorder serial_recorder(serial_registry);
     const exp::MultiCellResult serial =
-        exp::run_multi_cell(config, nullptr, &serial_recorder);
+        exp::run_multi_cell(config, nullptr, {.recorder = &serial_recorder});
     const std::string serial_export = serial_registry.to_json();
     EXPECT_GT(serial.coop_aggregate.peer_hits +
                   serial.coop_aggregate.invalidations +
@@ -470,7 +461,7 @@ TEST(Determinism, CoherentCoopMultiCellBitIdenticalAcrossPoolSizes) {
       obs::MetricsRegistry registry;
       obs::SeriesRecorder recorder(registry);
       const exp::MultiCellResult pooled =
-          exp::run_multi_cell(config, &pool, &recorder);
+          exp::run_multi_cell(config, &pool, {.recorder = &recorder});
       ASSERT_EQ(pooled.per_cluster.size(), serial.per_cluster.size());
       for (std::size_t i = 0; i < serial.per_cluster.size(); ++i) {
         expect_identical(serial.per_cluster[i], pooled.per_cluster[i]);

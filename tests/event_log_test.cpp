@@ -112,14 +112,14 @@ TEST(JsonlTraceSink, StreamedBodyMatchesBufferedJsonl) {
   config.faults.fetch_failure_rate = 0.25;
 
   RequestTracer plain;
-  exp::run_policy_sim(config, nullptr, &plain);
+  exp::run_policy_sim(config, {.tracer = &plain});
 
   RequestTracer streamed;
   {
     JsonlTraceSink sink(path, {/*buffer_events=*/64,
                                /*background_flush=*/false});
     streamed.log().set_sink(&sink);
-    exp::run_policy_sim(config, nullptr, &streamed);
+    exp::run_policy_sim(config, {.tracer = &streamed});
     streamed.log().set_sink(nullptr);
     sink.close();
     EXPECT_TRUE(sink.ok());
@@ -466,7 +466,7 @@ TEST(RequestTracer, TracedPolicySimLifecycleInvariants) {
   RequestTracer tracer;  // sample every arrival, ample capacity
   tracer.register_histograms(&registry);
   const exp::PolicySimResult result =
-      exp::run_policy_sim(config, &recorder, &tracer);
+      exp::run_policy_sim(config, {.recorder = &recorder, .tracer = &tracer});
 
   const EventLog& log = tracer.log();
   ASSERT_EQ(log.dropped(), 0u) << "grow event_capacity for this workload";
@@ -528,8 +528,8 @@ TEST(RequestTracer, SampledTraceKeepsEveryNthArrivalOfTheSameRun) {
   trace.sample_every = 4;
   RequestTracer sampled(trace);
   RequestTracer full;
-  exp::run_policy_sim(config, nullptr, &sampled);
-  exp::run_policy_sim(config, nullptr, &full);
+  exp::run_policy_sim(config, {.tracer = &sampled});
+  exp::run_policy_sim(config, {.tracer = &full});
 
   EXPECT_EQ(sampled.arrivals(), full.arrivals());
   EXPECT_EQ(sampled.sampled_arrivals(), (full.arrivals() + 3) / 4);

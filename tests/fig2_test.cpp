@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "util/thread_pool.hpp"
+
 namespace mobi::exp {
 namespace {
 
@@ -93,7 +97,8 @@ TEST(Fig2, ParallelSweepMatchesSerial) {
   auto config = small_config();
   config.request_rates = {0, 25, 50};
   const auto serial = run_fig2(config);
-  const auto parallel = run_fig2_parallel(config);
+  util::ThreadPool pool(3);
+  const auto parallel = run_fig2(config, &pool);
   ASSERT_EQ(parallel.curves.size(), serial.curves.size());
   EXPECT_EQ(parallel.async_downloaded, serial.async_downloaded);
   for (std::size_t c = 0; c < serial.curves.size(); ++c) {
@@ -103,6 +108,17 @@ TEST(Fig2, ParallelSweepMatchesSerial) {
       EXPECT_EQ(parallel.curves[c].points[i].request_rate,
                 serial.curves[c].points[i].request_rate);
     }
+  }
+}
+
+// The analytic async bound divides by the period, so a non-positive one
+// must be rejected up front rather than crash the sweep.
+TEST(Fig2, RejectsNonPositiveUpdatePeriod) {
+  for (const sim::Tick period : {sim::Tick(0), sim::Tick(-5)}) {
+    auto config = small_config();
+    config.request_rates = {10};
+    config.update_period = period;
+    EXPECT_THROW(run_fig2(config), std::invalid_argument);
   }
 }
 

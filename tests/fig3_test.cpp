@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/thread_pool.hpp"
+
 namespace mobi::exp {
 namespace {
 
@@ -72,7 +74,8 @@ TEST(Fig3, ParallelSweepMatchesSerial) {
   auto config = small_config(10);
   config.budgets = {1, 10, 40};
   const auto serial = run_fig3(config);
-  const auto parallel = run_fig3_parallel(config);
+  util::ThreadPool pool(3);
+  const auto parallel = run_fig3(config, &pool);
   ASSERT_EQ(parallel.points.size(), serial.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
     EXPECT_DOUBLE_EQ(parallel.points[i].on_demand_recency,

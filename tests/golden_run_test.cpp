@@ -89,7 +89,8 @@ TEST(GoldenRun, PolicySimEndToEnd) {
 
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
-  const exp::PolicySimResult result = exp::run_policy_sim(config, &recorder);
+  const exp::PolicySimResult result =
+      exp::run_policy_sim(config, {.recorder = &recorder});
 
   // Headline results (measure window).
   EXPECT_EQ(result.requests, 1000u);
@@ -127,7 +128,7 @@ TEST(GoldenRun, PolicySimTracedMatchesPinnedNumbers) {
   obs::RequestTracer tracer;
   tracer.register_histograms(&registry);
   const exp::PolicySimResult result =
-      exp::run_policy_sim(config, &recorder, &tracer);
+      exp::run_policy_sim(config, {.recorder = &recorder, .tracer = &tracer});
 
   EXPECT_EQ(result.requests, 1000u);
   EXPECT_EQ(result.objects_downloaded, 136u);
@@ -170,7 +171,8 @@ TEST(GoldenRun, PolicySimParallelBnbMatchesPinnedNumbers) {
     config.policy = policy;
     obs::MetricsRegistry registry;
     obs::SeriesRecorder recorder(registry);
-    const exp::PolicySimResult result = exp::run_policy_sim(config, &recorder);
+    const exp::PolicySimResult result =
+      exp::run_policy_sim(config, {.recorder = &recorder});
 
     EXPECT_EQ(result.requests, 1000u);
     EXPECT_EQ(result.objects_downloaded, 136u);

@@ -210,7 +210,7 @@ TEST(MobilityFleet, MobilityOnBitIdenticalAcrossPoolSizes) {
   obs::MetricsRegistry serial_registry;
   obs::SeriesRecorder serial_recorder(serial_registry);
   const exp::MultiCellResult serial =
-      exp::run_multi_cell(config, nullptr, &serial_recorder);
+      exp::run_multi_cell(config, nullptr, {.recorder = &serial_recorder});
   const std::string serial_export = serial_registry.to_json();
   EXPECT_GT(serial.mobility.crossings, 0u);
   ASSERT_NE(serial_registry.find_counter("mc.mobility.crossings"), nullptr);
@@ -225,7 +225,7 @@ TEST(MobilityFleet, MobilityOnBitIdenticalAcrossPoolSizes) {
     obs::MetricsRegistry registry;
     obs::SeriesRecorder recorder(registry);
     const exp::MultiCellResult pooled =
-        exp::run_multi_cell(config, &pool, &recorder);
+        exp::run_multi_cell(config, &pool, {.recorder = &recorder});
     ASSERT_EQ(pooled.per_cell.size(), serial.per_cell.size());
     for (std::size_t i = 0; i < serial.per_cell.size(); ++i) {
       expect_identical(serial.per_cell[i], pooled.per_cell[i]);
@@ -253,7 +253,7 @@ TEST(MobilityFleet, MobilityOffRegistersNothingExtra) {
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
   const exp::MultiCellResult result =
-      exp::run_multi_cell(config, nullptr, &recorder);
+      exp::run_multi_cell(config, nullptr, {.recorder = &recorder});
   EXPECT_EQ(registry.find_counter("mc.mobility.crossings"), nullptr);
   EXPECT_EQ(registry.find_counter("mc.mobility.migrations"), nullptr);
   EXPECT_EQ(registry.find_counter("mc.mobility.migrated_units"), nullptr);

@@ -129,7 +129,7 @@ TEST(MultiCell, RecorderAggregatesShardSumsAndPerturbsNothing) {
   obs::SeriesRecorder recorder(registry);
   util::ThreadPool pool(2);
   const exp::MultiCellResult observed =
-      exp::run_multi_cell(config, &pool, &recorder);
+      exp::run_multi_cell(config, &pool, {.recorder = &recorder});
   expect_identical(bare.aggregate, observed.aggregate);
 
   ASSERT_EQ(recorder.samples(), std::size_t(config.cell.ticks));
@@ -240,6 +240,28 @@ TEST(MultiCell, RejectsDegenerateConfigs) {
   skew.cell_client_counts = {4, 4};  // 2 != cell_count (6)
   EXPECT_THROW(exp::run_multi_cell(skew), std::invalid_argument);
   EXPECT_THROW(exp::shard_cost_estimates(skew), std::invalid_argument);
+}
+
+// Tracing and per-cell client counts only exist for sharded cells; a coop
+// cluster run must refuse them rather than silently drop them.
+TEST(MultiCell, RejectsShardedOnlyOptionsOnCoopClusters) {
+  exp::MultiCellConfig coop = small_config();
+  coop.topology = exp::CellTopology::kCoopClusters;
+  coop.cluster.warmup_ticks = 1;
+  coop.cluster.measure_ticks = 2;
+  EXPECT_NO_THROW(exp::run_multi_cell(coop));
+
+  exp::MultiCellConfig traced = coop;
+  traced.trace_sample_every = 1;
+  EXPECT_THROW(exp::run_multi_cell(traced), std::invalid_argument);
+
+  exp::MultiCellConfig streamed = coop;
+  streamed.trace_jsonl_dir = ".";
+  EXPECT_THROW(exp::run_multi_cell(streamed), std::invalid_argument);
+
+  exp::MultiCellConfig skewed = coop;
+  skewed.cell_client_counts.assign(coop.cell_count, 4);
+  EXPECT_THROW(exp::run_multi_cell(skewed), std::invalid_argument);
 }
 
 TEST(MultiCell, ShardCostEstimatesFollowClientsTimesTicks) {

@@ -3,7 +3,6 @@
 // full JSON export round-trip through a minimal parser.
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -470,36 +469,6 @@ TEST(SeriesRecorder, TableHasTickColumnPlusSeries) {
   EXPECT_EQ(table.rows(), 2u);
   // CSV renders without throwing and includes the header.
   EXPECT_NE(table.to_csv().find("tick"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Tracing.
-
-TEST(ScopedTrace, NullSinkIsNoop) {
-  ScopedTrace span(nullptr, "anything", 3);  // must not crash or allocate
-  SUCCEED();
-}
-
-TEST(ScopedTrace, RecordsNamedEventWithTick) {
-  TraceSink sink;
-  {
-    ScopedTrace span(&sink, "phase.a", 7);
-  }
-  {
-    ScopedTrace span(&sink, "phase.a", 8);
-  }
-  ASSERT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.events()[0].name, "phase.a");
-  EXPECT_EQ(sink.events()[0].tick, 7);
-  EXPECT_GE(sink.events()[0].duration_us, 0.0);
-  EXPECT_EQ(sink.summary("phase.a").count(), 2u);
-  EXPECT_EQ(sink.summary("phase.b").count(), 0u);
-
-  const JsonValue root = JsonParser(sink.to_json()).parse();
-  ASSERT_EQ(root.arr().size(), 2u);
-  EXPECT_DOUBLE_EQ(root.arr()[1].at("tick").num(), 8.0);
-  sink.clear();
-  EXPECT_EQ(sink.size(), 0u);
 }
 
 TEST(JsonHelpers, EscapeAndNumberFormats) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace mobi::exp {
 namespace {
 
@@ -104,6 +107,20 @@ TEST(PolicySim, UnknownPolicyOrScorerThrows) {
   config = small_config();
   config.scorer = "bogus";
   EXPECT_THROW(run_policy_sim(config), std::invalid_argument);
+}
+
+// An empty catalog is rejected before the downlink sizing divides by the
+// catalog size, with a message that names the field.
+TEST(PolicySim, RejectsEmptyCatalog) {
+  auto config = small_config();
+  config.object_count = 0;
+  try {
+    run_policy_sim(config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("object_count"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PolicySim, FairnessMetricsAreCoherent) {

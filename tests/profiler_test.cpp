@@ -21,7 +21,7 @@ namespace {
 // ns resolution; a few thousand iterations are plenty).
 void burn() {
   volatile std::uint64_t x = 0;
-  for (int i = 0; i < 5000; ++i) x += std::uint64_t(i);
+  for (int i = 0; i < 5000; ++i) x = x + std::uint64_t(i);
 }
 
 TEST(PhaseProfiler, SelfTimesSumExactlyToRootTotal) {

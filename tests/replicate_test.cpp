@@ -44,7 +44,8 @@ TEST(Replicate, SingleRunHasNoInterval) {
 
 TEST(Replicate, NullMetricThrows) {
   EXPECT_THROW(replicate(nullptr, {1}), std::invalid_argument);
-  EXPECT_THROW(replicate_parallel(nullptr, {1}), std::invalid_argument);
+  util::ThreadPool pool(2);
+  EXPECT_THROW(replicate(nullptr, {1}, &pool), std::invalid_argument);
 }
 
 TEST(Replicate, ParallelMatchesSerial) {
@@ -56,7 +57,8 @@ TEST(Replicate, ParallelMatchesSerial) {
   };
   const auto seeds = seed_ladder(7, 8);
   const auto serial = replicate(metric, seeds);
-  const auto parallel = replicate_parallel(metric, seeds);
+  util::ThreadPool pool(3);
+  const auto parallel = replicate(metric, seeds, &pool);
   EXPECT_EQ(parallel.runs, serial.runs);
   EXPECT_NEAR(parallel.mean, serial.mean, 1e-12);
   EXPECT_NEAR(parallel.stddev, serial.stddev, 1e-12);

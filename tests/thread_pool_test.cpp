@@ -114,22 +114,22 @@ TEST(ThreadPoolRun, TwoCallingThreadsCoverEveryIndexOnce) {
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, 1000, [&](std::size_t i) { ++hits[i]; });
+  parallel_for(&pool, 0, 1000, [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   int calls = 0;
-  parallel_for(pool, 5, 5, [&](std::size_t) { ++calls; });
-  parallel_for(pool, 7, 3, [&](std::size_t) { ++calls; });
+  parallel_for(&pool, 5, 5, [&](std::size_t) { ++calls; });
+  parallel_for(&pool, 7, 3, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ParallelFor, RespectsGrainChunking) {
   ThreadPool pool(2);
   std::atomic<long> sum{0};
-  parallel_for(pool, 0, 100, [&](std::size_t i) { sum += long(i); }, 16);
+  parallel_for(&pool, 0, 100, [&](std::size_t i) { sum += long(i); }, 16);
   EXPECT_EQ(sum.load(), 99 * 100 / 2);
 }
 
@@ -138,28 +138,30 @@ TEST(ParallelFor, RespectsGrainChunking) {
 TEST(ParallelFor, HugeGrainCoversRangeOnce) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(12);
-  parallel_for(pool, 5, 10, [&](std::size_t i) { ++hits[i]; }, SIZE_MAX);
+  parallel_for(&pool, 5, 10, [&](std::size_t i) { ++hits[i]; }, SIZE_MAX);
   EXPECT_EQ(std::vector<int>(hits.begin(), hits.end()),
             (std::vector<int>{0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0}));
 }
 
 TEST(ParallelFor, RethrowsTaskException) {
   ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 0, 10,
+  EXPECT_THROW(parallel_for(&pool, 0, 10,
                             [&](std::size_t i) {
                               if (i == 7) throw std::logic_error("seven");
                             }),
                std::logic_error);
 }
 
-TEST(ParallelFor, DefaultPoolOverloadWorks) {
-  std::atomic<int> counter{0};
-  parallel_for(0, 50, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(DefaultPool, IsSingleton) {
-  EXPECT_EQ(&default_pool(), &default_pool());
+TEST(ParallelFor, NullPoolRunsInOrderOnTheCaller) {
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> threads;
+  parallel_for(nullptr, 3, 8, [&](std::size_t i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  }, 2);
+  EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7}));
+  EXPECT_EQ(threads,
+            std::vector<std::thread::id>(5, std::this_thread::get_id()));
 }
 
 TEST(LptPlan, PacksLongestFirstOntoLeastLoadedWorker) {
