@@ -75,6 +75,10 @@ void CellEngine::set_tracer(obs::RequestTracer* tracer) {
 }
 
 void CellEngine::tick(sim::Tick t) {
+  // Handoffs granted since the last tick move ids first, so every step
+  // below sees the roster the barrier left.
+  apply_inbox();
+
   // Open this tick's fault windows (idempotent — process_batch would do
   // it too, but the handoff draws below need the tick open).
   if (injector_) injector_->begin_tick(t);
@@ -174,7 +178,13 @@ void CellEngine::credit(std::uint32_t client) {
 }
 
 void CellEngine::settle() {
+  apply_inbox();
   for (std::uint32_t id : roster_) credit(id);
+}
+
+const std::vector<std::uint32_t>& CellEngine::roster() {
+  apply_inbox();
+  return roster_;
 }
 
 void CellEngine::land_deliveries(sim::Tick t) {
@@ -203,17 +213,23 @@ void CellEngine::land_deliveries(sim::Tick t) {
   in_flight_.resize(keep);
 }
 
-void CellEngine::admit(std::uint32_t client) {
-  roster_.insert(std::upper_bound(roster_.begin(), roster_.end(), client),
-                 client);
-}
-
-void CellEngine::release(std::uint32_t client) {
-  const auto it = std::lower_bound(roster_.begin(), roster_.end(), client);
-  if (it == roster_.end() || *it != client) {
-    throw std::logic_error("CellEngine: released client not resident");
+void CellEngine::apply_inbox() {
+  if (inbox_ == nullptr || inbox_->empty()) return;
+  // In post order: a client hopping A -> B -> A in one tick is released
+  // by A before A admits it again.
+  for (const RosterMove& move : *inbox_) {
+    const auto it =
+        std::lower_bound(roster_.begin(), roster_.end(), move.client);
+    if (move.admit) {
+      roster_.insert(it, move.client);
+      continue;
+    }
+    if (it == roster_.end() || *it != move.client) {
+      throw std::logic_error("CellEngine: released client not resident");
+    }
+    roster_.erase(it);
   }
-  roster_.erase(it);
+  inbox_->clear();
 }
 
 CellResult run_cell(const CellConfig& config, CellSeries* per_tick,

@@ -4,8 +4,9 @@
 //
 // One engine runs the tick for every caller: client::run_cell steps a
 // CellEngine over a fixed roster, exp::MobilityFleet steps one engine per
-// cell over a shared client vector and moves ids between rosters at its
-// handoff barrier. Per tick (CellEngine::tick):
+// cell over a shared client vector, and its handoff barrier queues roster
+// moves in an inbox each engine applies at the top of its next tick. Per
+// tick (CellEngine::tick):
 //   1. servers update; the base-station cache decays (it is co-located
 //      with the report generator, so its knowledge is current), and the
 //      updates are appended to the invalidation log;
@@ -124,6 +125,13 @@ class CellEngine {
     std::uint64_t handoffs = 0;
   };
 
+  /// One roster change a handoff barrier queues for a cell: `client`
+  /// joins (admit) or leaves (!admit) it.
+  struct RosterMove {
+    std::uint32_t client = 0;
+    bool admit = false;
+  };
+
   /// `config.client_count` sizes the downlink and `config.seed` reseeds
   /// the fault plan; `root` is the cell's root stream, which spawns the
   /// connectivity stream and then the request stream. Payloads land
@@ -146,21 +154,26 @@ class CellEngine {
   /// Appends one cumulative CellResult snapshot per tick (nullptr
   /// detaches). Read-only observation.
   void attach_series(CellSeries* series) noexcept { series_ = series; }
+  /// Attaches the inbox a handoff barrier fills with this cell's roster
+  /// moves between ticks (nullptr detaches). The caller owns it; the
+  /// engine applies its moves in order and clears it at the top of
+  /// tick(), in settle() and in roster(), so the caller must not touch
+  /// it while one of those runs. Applying a release of a client that is
+  /// not resident throws std::logic_error.
+  void attach_inbox(std::vector<RosterMove>* inbox) noexcept {
+    inbox_ = inbox;
+  }
   core::BaseStation& station() noexcept { return station_; }
 
   void tick(sim::Tick t);
 
-  /// Credits the resident clients' counter increments since their last
-  /// credit (handoffs granted after the last tick's client loop).
+  /// Applies the inbox, then credits the resident clients' counter
+  /// increments since their last credit (handoffs granted after the last
+  /// tick's client loop).
   void settle();
 
-  /// Roster moves for a handoff barrier; release() throws
-  /// std::logic_error when `client` is not resident.
-  void admit(std::uint32_t client);
-  void release(std::uint32_t client);
-
-  /// Sorted ids of the resident clients.
-  const std::vector<std::uint32_t>& roster() const noexcept { return roster_; }
+  /// Sorted ids of the resident clients, inbox applied first.
+  const std::vector<std::uint32_t>& roster();
   const CellResult& result() const noexcept { return result_; }
   std::uint64_t delivered_payloads() const noexcept { return delivered_; }
   std::uint64_t lost_deliveries() const noexcept { return lost_; }
@@ -176,6 +189,7 @@ class CellEngine {
     sim::Tick land = 0;
   };
 
+  void apply_inbox();
   void credit(std::uint32_t client);
   void land_deliveries(sim::Tick t);
 
@@ -204,6 +218,7 @@ class CellEngine {
   cache::InvalidationReport report_;
   obs::RequestTracer* tracer_ = nullptr;
   CellSeries* series_ = nullptr;
+  std::vector<RosterMove>* inbox_ = nullptr;
 };
 
 /// Runs one cell for config.ticks ticks over clients [0, client_count).

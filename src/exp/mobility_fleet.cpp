@@ -27,6 +27,9 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
   if (config_.cell_count == 0) {
     throw std::invalid_argument("MobilityFleet: need >= 1 cell");
   }
+  if (config_.cell.ticks < 0) {
+    throw std::invalid_argument("MobilityFleet: cell.ticks must be >= 0");
+  }
   if (!config_.cell_client_counts.empty() &&
       config_.cell_client_counts.size() != config_.cell_count) {
     throw std::invalid_argument(
@@ -61,6 +64,10 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
     }
   }
   credited_.resize(total);
+  // One inbox per cell, never resized (each engine holds its address). A
+  // tick moves each client at most once in waypoint mode, so a cell's
+  // releases plus admits stay within the population.
+  inboxes_.resize(config_.cell_count);
   cells_.reserve(config_.cell_count);
   std::uint32_t first = 0;
   for (std::size_t i = 0; i < config_.cell_count; ++i) {
@@ -76,6 +83,8 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
     cells_.push_back(std::make_unique<client::CellEngine>(
         cell, catalog_, *access_, clients_, credited_, std::move(roster),
         util::Rng(cell.seed), config_.mobility_delivery_ticks));
+    inboxes_[i].reserve(total);
+    cells_.back()->attach_inbox(&inboxes_[i]);
   }
 
   model_.emplace(config_.mobility, config_.cell_count, home);
@@ -86,7 +95,11 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
   }
   bus_.emplace(config_.cell_count);
   bus_->reserve(total);
-  crossings_.reserve(total);
+  block_crossings_.resize(kModelBlocks);
+  for (std::size_t b = 0; b < kModelBlocks; ++b) {
+    block_crossings_[b].reserve(total * (b + 1) / kModelBlocks -
+                                total * b / kModelBlocks);
+  }
   rows_.reserve(std::size_t(ticks_));
 }
 
@@ -107,28 +120,44 @@ void MobilityFleet::set_profiler(obs::PhaseProfiler* profiler) {
   }
 }
 
-void MobilityFleet::barrier(sim::Tick t) {
-  model_->step(t, crossings_);
-  for (const sim::Crossing& crossing : crossings_) {
-    HandoffRecord record;
-    record.client = crossing.client;
-    record.from = crossing.from;
-    record.to = crossing.to;
-    record.cache_units = clients_[crossing.client].local_cache().used();
-    bus_->post(record);
-    if (obs::RequestTracer* tracer = cells_[crossing.from]->tracer()) {
-      tracer->on_handoff(crossing.client, crossing.to,
-                         double(record.cache_units));
+void MobilityFleet::run_index(sim::Tick t, std::size_t index) {
+  if (index < cells_.size()) {
+    cells_[index]->tick(t);
+    return;
+  }
+  const std::size_t block = index - cells_.size();
+  const std::size_t n = clients_.size();
+  model_->advance(t, n * block / kModelBlocks, n * (block + 1) / kModelBlocks,
+                  block_crossings_[block]);
+}
+
+std::size_t MobilityFleet::barrier(sim::Tick t) {
+  model_->publish(t);
+  std::size_t crossings = 0;
+  for (const std::vector<sim::Crossing>& block : block_crossings_) {
+    crossings += block.size();
+    for (const sim::Crossing& crossing : block) {
+      HandoffRecord record;
+      record.client = crossing.client;
+      record.from = crossing.from;
+      record.to = crossing.to;
+      record.cache_units = clients_[crossing.client].local_cache().used();
+      bus_->post(record);
+      if (obs::RequestTracer* tracer = cells_[crossing.from]->tracer()) {
+        tracer->on_handoff(crossing.client, crossing.to,
+                           double(record.cache_units));
+      }
     }
   }
   // Post order is delivery order: a client that hops through two cells
-  // this tick leaves the first before it can leave the second.
+  // this tick leaves the first before it can leave the second. Each
+  // inbox keeps that order for its own cell, which is all a roster needs.
   bus_->drain([this](const HandoffRecord& record) {
-    cells_[record.from]->release(record.client);
-    cells_[record.to]->admit(record.client);
+    inboxes_[record.from].push_back({record.client, false});
+    inboxes_[record.to].push_back({record.client, true});
     clients_[record.client].begin_handoff(config_.mobility.handoff_ticks);
   });
-  stats_.crossings += crossings_.size();
+  stats_.crossings += crossings;
   stats_.migrations = bus_->delivered();
   stats_.migrated_units = bus_->migrated_units();
   stats_.deliveries = 0;
@@ -138,6 +167,7 @@ void MobilityFleet::barrier(sim::Tick t) {
     stats_.lost_deliveries += cell->lost_deliveries();
   }
   rows_.push_back(stats_);
+  return crossings;
 }
 
 void MobilityFleet::step(util::ThreadPool* pool) {
@@ -148,13 +178,14 @@ void MobilityFleet::step(util::ThreadPool* pool) {
     // region; the workers themselves never touch the profiler.
     obs::ScopedPhase span(profiler_, cells_phase_);
     span.add_cost(cells_.size());
-    util::parallel_for(pool, 0, cells_.size(),
-                       [this, t](std::size_t i) { cells_[i]->tick(t); });
+    // Capture no more than 16 bytes: std::function keeps that inline, and
+    // a larger capture allocates on every tick.
+    util::parallel_for(pool, 0, cells_.size() + kModelBlocks,
+                       [this, t](std::size_t i) { run_index(t, i); });
   }
   {
     obs::ScopedPhase span(profiler_, barrier_phase_);
-    barrier(t);
-    span.add_cost(crossings_.size());
+    span.add_cost(barrier(t));
   }
   // Handoffs granted at the last barrier land in the cell the client
   // ends the run in.

@@ -19,12 +19,26 @@
 //     path, so a pool-of-K run is bit-identical to serial for every K.
 //
 // Each cell is a client::CellEngine — the same tick run_cell steps. Each
-// tick the engines run in parallel, then a single-threaded barrier steps
-// the MobilityModel, posts each crossing to the HandoffBus, and drains it
-// — roster moves plus a deterministic handoff window on the crossing
-// client. The barrier is the only code a moving fleet adds. With
-// mobility_predictive set, every station's knapsack sees a ResidencyProbe
-// backed by the model's dwell estimates.
+// tick is one fan-out and one barrier:
+//
+//   * the fan-out runs every cell engine, then the MobilityModel advancing
+//     a fixed number of client blocks into its unpublished buffer (cells
+//     first, so the short blocks fill the tail). Each engine starts its
+//     tick by applying the roster moves the last barrier queued for it.
+//     Trajectories never read cache, station or client state, so the
+//     model can run beside the cells; the cells' residency probes read
+//     the state published at the last barrier.
+//   * the single-threaded barrier publishes the model, posts each crossing
+//     (the blocks' lists in block order: ascending client, each client's
+//     hops in schedule order) to the HandoffBus and drains it, queueing a
+//     release for the old cell and an admit for the new one in per-cell
+//     inboxes the fleet owns and opening a deterministic handoff window on
+//     the crossing client, then appends the stats row. Only the barrier
+//     writes to a client here: in trace mode one client can cross twice
+//     in a tick, and two engines opening its window would race.
+//
+// With mobility_predictive set, every station's knapsack sees a
+// ResidencyProbe backed by the model's dwell estimates.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +63,9 @@ class PhaseProfiler;
 namespace mobi::exp {
 
 /// core::ResidencyProbe backed by the fleet's mobility model. Pure reads
-/// against state frozen at the last barrier, so concurrent cell steps
-/// may query it freely.
+/// against state frozen at the last barrier (the model's published
+/// buffer), so concurrent cell steps may query it freely while the model
+/// blocks advance.
 class FleetResidencyProbe final : public core::ResidencyProbe {
  public:
   explicit FleetResidencyProbe(const sim::ResidencyPredictor& predictor)
@@ -65,9 +80,10 @@ class FleetResidencyProbe final : public core::ResidencyProbe {
 
 class MobilityFleet {
  public:
-  /// Requires sharded topology and a non-empty config.mobility (throws
-  /// otherwise). Honors cell_client_counts; clients get global ids in
-  /// cell-major order (cell 0 holds ids [0, n0), cell 1 the next n1, ...).
+  /// Requires sharded topology, a non-empty config.mobility and
+  /// cell.ticks >= 0 (throws std::invalid_argument otherwise). Honors
+  /// cell_client_counts; clients get global ids in cell-major order
+  /// (cell 0 holds ids [0, n0), cell 1 the next n1, ...).
   explicit MobilityFleet(const MultiCellConfig& config);
   MobilityFleet(const MobilityFleet&) = delete;
   MobilityFleet& operator=(const MobilityFleet&) = delete;
@@ -80,17 +96,19 @@ class MobilityFleet {
   void attach_series(std::size_t cell, client::CellSeries* series);
 
   /// Attaches a phase profiler to the *driver* thread: each step() runs a
-  /// `fleet.cells` span around the (possibly parallel) cell bodies (cost
-  /// = cells ticked; per-cell work is not individually profiled — the
-  /// profiler is single-threaded by contract) and a `fleet.barrier` span
-  /// around the single-threaded mobility barrier (cost = crossings
-  /// granted). nullptr detaches.
+  /// `fleet.cells` span around the (possibly parallel) fan-out — cell
+  /// ticks with their roster moves, and the model blocks (cost = cells
+  /// ticked; per-cell work is not individually profiled — the profiler is
+  /// single-threaded by contract) — and a `fleet.barrier` span around the
+  /// single-threaded handoff barrier (cost = crossings granted). nullptr
+  /// detaches.
   void set_profiler(obs::PhaseProfiler* profiler);
 
-  /// Runs one tick: the cell engines in parallel (serial when pool is
-  /// null), then the single-threaded mobility barrier. Both paths are
-  /// allocation-free once scratch capacities are warm: the pooled fan-out
-  /// is one ThreadPool::run, with this thread taking cells too.
+  /// Runs one tick: one fan-out over the cell engines and the model's
+  /// client blocks (in order on this thread when pool is null), then the
+  /// single-threaded handoff barrier. Both paths are allocation-free once
+  /// scratch capacities are warm: the pooled fan-out is one
+  /// ThreadPool::run, with this thread taking indices too.
   void step(util::ThreadPool* pool = nullptr);
 
   sim::Tick now() const noexcept { return next_tick_; }
@@ -103,12 +121,16 @@ class MobilityFleet {
   const client::CellResult& cell_result(std::size_t cell) const {
     return cells_.at(cell)->result();
   }
-  /// Sorted global ids currently resident in `cell`.
-  const std::vector<std::uint32_t>& roster(std::size_t cell) const {
+  /// Sorted global ids currently resident in `cell`, with the moves the
+  /// last barrier queued for it applied.
+  const std::vector<std::uint32_t>& roster(std::size_t cell) {
     return cells_.at(cell)->roster();
   }
   std::uint32_t cell_of_client(std::uint32_t client) const {
     return model_->cell_of(client);
+  }
+  const client::MobileClient& mobile_client(std::uint32_t id) const {
+    return clients_.at(id);
   }
 
   const sim::MobilityModel& model() const noexcept { return *model_; }
@@ -123,7 +145,14 @@ class MobilityFleet {
   }
 
  private:
-  void barrier(sim::Tick t);
+  /// Client blocks the model advances in per tick. A constant, not the
+  /// pool size: the blocks only split the walk, and their crossings are
+  /// read back in block order.
+  static constexpr std::size_t kModelBlocks = 8;
+
+  void run_index(sim::Tick t, std::size_t index);
+  /// Returns the crossings granted.
+  std::size_t barrier(sim::Tick t);
 
   MultiCellConfig config_;
   object::Catalog catalog_;
@@ -136,7 +165,8 @@ class MobilityFleet {
   std::optional<sim::ResidencyPredictor> predictor_;
   std::optional<FleetResidencyProbe> probe_;
   std::optional<HandoffBus> bus_;
-  std::vector<sim::Crossing> crossings_;  // barrier scratch
+  std::vector<std::vector<sim::Crossing>> block_crossings_;  // per block
+  std::vector<std::vector<client::CellEngine::RosterMove>> inboxes_;
 
   MobilityRunStats stats_;
   std::vector<MobilityRunStats> rows_;

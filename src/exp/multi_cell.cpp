@@ -352,6 +352,9 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
   if (config.cell_count == 0) {
     throw std::invalid_argument("run_multi_cell: need >= 1 cell");
   }
+  if (config.topology == CellTopology::kSharded && config.cell.ticks < 0) {
+    throw std::invalid_argument("run_multi_cell: cell.ticks must be >= 0");
+  }
   if (config.topology != CellTopology::kSharded) {
     if (!config.mobility.empty()) {
       throw std::invalid_argument(

@@ -94,9 +94,10 @@ struct MultiCellConfig {
   /// Client mobility over the cell grid (sim/mobility.hpp). The default
   /// (kOff) takes the pre-mobility sharded path bit for bit — zero extra
   /// RNG draws, byte-identical registry JSON. A non-empty config routes
-  /// the run through exp::MobilityFleet: cells tick in parallel, then a
-  /// single-threaded barrier steps the model and migrates crossing
-  /// clients between cell rosters through an exp::HandoffBus. Sharded
+  /// the run through exp::MobilityFleet: the cells and the model's client
+  /// blocks run in one parallel fan-out per tick, then a single-threaded
+  /// barrier posts each crossing to an exp::HandoffBus and queues the
+  /// roster moves each cell applies at the start of its next tick. Sharded
   /// topology only. The mobility seed is remixed with `seed`, so runs
   /// with different master seeds get independent trajectories.
   sim::MobilityConfig mobility;
@@ -196,9 +197,9 @@ struct MultiCellObservers {
 /// recorder attached, per-tick shard series are summed (in shard order)
 /// into `mc.*` registry metrics and sampled once per tick after all
 /// shards complete — identical output whatever the pool size. Invalid
-/// configs throw std::invalid_argument before any work, including the
-/// sharded-only options (tracing, per-cell client counts, mobility) on
-/// coop clusters.
+/// configs throw std::invalid_argument before any work, including a
+/// negative cell.ticks on the sharded topology and the sharded-only
+/// options (tracing, per-cell client counts, mobility) on coop clusters.
 MultiCellResult run_multi_cell(const MultiCellConfig& config,
                                util::ThreadPool* pool = nullptr,
                                const MultiCellObservers& observers = {});

@@ -113,6 +113,7 @@ MobilityModel::MobilityModel(const MobilityConfig& config,
                        });
     }
   }
+  next_.resize(clients_.size());
 }
 
 std::uint32_t MobilityModel::cell_at(double x, double y) const noexcept {
@@ -122,7 +123,7 @@ std::uint32_t MobilityModel::cell_at(double x, double y) const noexcept {
   return std::uint32_t(std::min(cell, cell_count_ - 1));
 }
 
-void MobilityModel::draw_waypoint(ClientState& state) {
+void MobilityModel::draw_waypoint(ClientState& state) const {
   // Waypoints are uniform over valid cells (not the bounding rectangle):
   // draw the cell, then a uniform offset inside its unit square.
   const std::uint64_t target =
@@ -132,11 +133,15 @@ void MobilityModel::draw_waypoint(ClientState& state) {
   state.speed = state.rng.uniform(config_.speed_lo, config_.speed_hi);
 }
 
-void MobilityModel::step(Tick now, std::vector<Crossing>& out) {
+void MobilityModel::advance(Tick now, std::size_t first, std::size_t last,
+                            std::vector<Crossing>& out) {
+  if (first > last || last > clients_.size()) {
+    throw std::out_of_range("MobilityModel::advance: bad client range");
+  }
   out.clear();
-  now_ = now;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    ClientState& state = clients_[i];
+  for (std::size_t i = first; i < last; ++i) {
+    ClientState& state = next_[i];
+    state = clients_[i];
     if (config_.mode == MobilityMode::kTraceDriven) {
       const std::vector<TraceHop>& schedule = hops_[i];
       while (state.next_hop < schedule.size() &&
@@ -178,6 +183,16 @@ void MobilityModel::step(Tick now, std::vector<Crossing>& out) {
       state.cell = here;
     }
   }
+}
+
+void MobilityModel::publish(Tick now) noexcept {
+  clients_.swap(next_);
+  now_ = now;
+}
+
+void MobilityModel::step(Tick now, std::vector<Crossing>& out) {
+  advance(now, 0, clients_.size(), out);
+  publish(now);
 }
 
 double MobilityModel::estimated_dwell(std::uint32_t client) const {

@@ -83,7 +83,9 @@ struct MobilityConfig {
 
 /// One cell-boundary crossing, reported by step() in ascending client id
 /// order (both modes; a client hopping through several cells in one tick
-/// contributes one crossing per hop, in schedule order).
+/// contributes one crossing per hop, in schedule order). advance()
+/// reports its range in the same order, so concatenating the crossings
+/// of ascending ranges reproduces step().
 struct Crossing {
   std::uint32_t client = 0;
   std::uint32_t from = 0;
@@ -101,24 +103,41 @@ class MobilityModel {
   std::size_t client_count() const noexcept { return clients_.size(); }
   std::size_t cell_count() const noexcept { return cell_count_; }
   std::size_t grid_width() const noexcept { return width_; }
+  /// The tick last published (0 before the first publish).
   Tick now() const noexcept { return now_; }
 
   std::uint32_t cell_of(std::uint32_t client) const {
     return clients_.at(client).cell;
   }
 
-  /// Advances every client one tick to time `now` and appends each
-  /// boundary crossing to `out` (cleared first). Ticks must be stepped
-  /// in order; draws happen only on waypoint arrival, from the crossing
-  /// client's own stream. Allocation-free once `out` is at capacity.
+  /// Advances clients [first, last) one tick to time `now`, reading the
+  /// published state and writing the next one, and reports their
+  /// boundary crossings in `out` (cleared first). Every client must be
+  /// advanced exactly once before publish(now); ticks must be stepped in
+  /// order. Calls over disjoint ranges (and with distinct `out`) may run
+  /// concurrently with each other and with the reads below: they touch
+  /// only the unpublished buffer, and each client draws only from its own
+  /// stream, on waypoint arrival. Throws std::out_of_range unless
+  /// first <= last <= client_count(). Allocation-free once `out` is at
+  /// capacity.
+  void advance(Tick now, std::size_t first, std::size_t last,
+               std::vector<Crossing>& out);
+
+  /// Makes the state advance() wrote the one every read sees, and sets
+  /// now() to `now`. Not concurrent with anything else on the model.
+  void publish(Tick now) noexcept;
+
+  /// advance() over every client, then publish(): one whole tick.
   void step(Tick now, std::vector<Crossing>& out);
 
   /// Deterministic estimate of the ticks until `client` leaves its
-  /// current cell, computed from the state frozen by the last step():
+  /// current cell, computed from the state frozen by the last publish:
   /// trace mode reads the schedule; waypoint mode intersects the current
   /// straight-line leg with the cell square and charges mean pause +
   /// half-cell travel for legs that end inside the cell. Pure read —
-  /// no draws, safe to call concurrently with other reads.
+  /// no draws. Like cell_of(), residency_probability() and
+  /// count_residents(), it reads only the published state, so it is safe
+  /// to call concurrently with other reads and with advance().
   double estimated_dwell(std::uint32_t client) const;
 
   /// P(client still resident `horizon` ticks from now), the MobiCacher
@@ -140,14 +159,15 @@ class MobilityModel {
   };
 
   std::uint32_t cell_at(double x, double y) const noexcept;
-  void draw_waypoint(ClientState& state);
+  void draw_waypoint(ClientState& state) const;
 
   MobilityConfig config_;
   std::size_t cell_count_ = 0;
   std::size_t width_ = 0;
   std::size_t height_ = 0;
   Tick now_ = 0;
-  std::vector<ClientState> clients_;
+  std::vector<ClientState> clients_;  // published: every read sees this
+  std::vector<ClientState> next_;     // advance() writes here
   /// Trace mode: per-client hop schedule in input order.
   std::vector<std::vector<TraceHop>> hops_;
 };

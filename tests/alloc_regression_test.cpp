@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -393,6 +394,41 @@ TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
     // The measured ticks actually carried mobility traffic.
     EXPECT_GT(fleet.stats().crossings, warm_crossings);
     EXPECT_GT(fleet.stats().deliveries, 0u);
+  }
+
+  // The random-waypoint leg, as the perf ledger runs the fleet: model
+  // blocks stepped beside the cells, predictive residency probes reading
+  // the published model state, engines applying queued roster moves. No
+  // trace forces the high-water marks here, so the warm-up is long: 400
+  // ticks still leave a few growth allocations at some seeds.
+  exp::MultiCellConfig waypoint;
+  waypoint.cell_count = 4;
+  waypoint.cell.client_count = 6;
+  waypoint.cell.object_count = 24;
+  waypoint.cell.ticks = 2400;
+  waypoint.cell.base_budget = 8;
+  waypoint.mobility.mode = sim::MobilityMode::kRandomWaypoint;
+  waypoint.mobility.speed_lo = 0.2;
+  waypoint.mobility.speed_hi = 0.6;
+  waypoint.mobility.pause_lo = 0;
+  waypoint.mobility.pause_hi = 2;
+  waypoint.mobility.handoff_ticks = 2;
+  waypoint.mobility_predictive = true;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 11u, 42u}) {
+    waypoint.seed = seed;
+    for (util::ThreadPool* pool : pools) {
+      SCOPED_TRACE(std::string("waypoint seed ") + std::to_string(seed) +
+                   (pool ? ", pool of 2" : ", serial"));
+      exp::MobilityFleet fleet(waypoint);
+      for (int t = 0; t < 2000; ++t) fleet.step(pool);
+      const std::uint64_t warm_crossings = fleet.stats().crossings;
+      const std::uint64_t before = g_allocations.load();
+      while (!fleet.done()) fleet.step(pool);
+      const std::uint64_t after = g_allocations.load();
+      EXPECT_EQ(after - before, 0u)
+          << (after - before) << " steady-state heap allocations";
+      EXPECT_GT(fleet.stats().crossings, warm_crossings);
+    }
   }
 }
 

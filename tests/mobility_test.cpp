@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/mobility_fleet.hpp"
@@ -117,6 +119,94 @@ TEST(MobilityModel, TraceDrivenFollowsScheduleIncludingMultiHopTicks) {
   EXPECT_EQ(model.cell_of(1), 1u);
 }
 
+// advance() over any partition of the clients into ranges, advanced in
+// any order, then publish(), is step(): the ranges' crossings
+// concatenated in range order are step()'s, and every client ends in the
+// same state. Until publish(), every read still sees the last published
+// tick. Both modes: seeded random waypoint, and the multi-hop schedule
+// above.
+TEST(MobilityModel, SplitStepMatchesSerialStep) {
+  struct Case {
+    const char* name;
+    sim::MobilityConfig config;
+    std::size_t cells;
+    std::vector<std::uint32_t> home;
+    sim::Tick ticks;
+  };
+  sim::MobilityConfig waypoint;
+  waypoint.mode = sim::MobilityMode::kRandomWaypoint;
+  waypoint.speed_lo = 0.2;
+  waypoint.speed_hi = 0.6;
+  waypoint.pause_lo = 0;
+  waypoint.pause_hi = 2;
+  waypoint.seed = 29;
+  std::vector<std::uint32_t> spread(6 * 30);
+  for (std::size_t i = 0; i < spread.size(); ++i) {
+    spread[i] = std::uint32_t(i % 6);
+  }
+  sim::MobilityConfig multi_hop;
+  multi_hop.mode = sim::MobilityMode::kTraceDriven;
+  multi_hop.trace = {{3, 0, 1}, {3, 0, 2}, {5, 0, 0}, {4, 1, 2}, {6, 1, 1}};
+  const Case cases[] = {{"waypoint", waypoint, 6, spread, 200},
+                        {"multi-hop trace", multi_hop, 3, {0, 1}, 8}};
+
+  for (const Case& c : cases) {
+    const std::size_t n = c.home.size();
+    for (const std::size_t blocks : {std::size_t(1), std::size_t(2),
+                                     std::size_t(3), std::size_t(7), n}) {
+      SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(blocks) +
+                   " blocks");
+      sim::MobilityModel serial(c.config, c.cells, c.home);
+      sim::MobilityModel split(c.config, c.cells, c.home);
+      std::vector<sim::Crossing> expected;
+      std::vector<std::vector<sim::Crossing>> out(blocks);
+      std::vector<std::uint32_t> cell_before(n);
+      std::vector<double> dwell_before(n);
+      std::size_t crossings = 0;
+      for (sim::Tick t = 0; t < c.ticks; ++t) {
+        serial.step(t, expected);
+        const sim::Tick now_before = split.now();
+        for (std::uint32_t i = 0; i < n; ++i) {
+          cell_before[i] = split.cell_of(i);
+          dwell_before[i] = split.estimated_dwell(i);
+        }
+        for (std::size_t b = blocks; b-- > 0;) {
+          split.advance(t, n * b / blocks, n * (b + 1) / blocks, out[b]);
+        }
+        ASSERT_EQ(split.now(), now_before) << "tick " << t;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          ASSERT_EQ(split.cell_of(i), cell_before[i]) << "tick " << t;
+          ASSERT_EQ(split.estimated_dwell(i), dwell_before[i]) << "tick " << t;
+        }
+        split.publish(t);
+        ASSERT_EQ(split.now(), t);
+
+        std::vector<sim::Crossing> got;
+        for (const auto& block : out) {
+          got.insert(got.end(), block.begin(), block.end());
+        }
+        ASSERT_EQ(got.size(), expected.size()) << "tick " << t;
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          ASSERT_EQ(got[k].client, expected[k].client) << "tick " << t;
+          ASSERT_EQ(got[k].from, expected[k].from) << "tick " << t;
+          ASSERT_EQ(got[k].to, expected[k].to) << "tick " << t;
+        }
+        crossings += got.size();
+        for (std::uint32_t i = 0; i < n; ++i) {
+          ASSERT_EQ(split.cell_of(i), serial.cell_of(i)) << "tick " << t;
+          ASSERT_EQ(split.estimated_dwell(i), serial.estimated_dwell(i))
+              << "tick " << t;
+        }
+      }
+      EXPECT_GT(crossings, 0u);
+    }
+  }
+  sim::MobilityModel model(multi_hop, 3, {0, 1});
+  std::vector<sim::Crossing> out;
+  EXPECT_THROW(model.advance(0, 1, 3, out), std::out_of_range);
+  EXPECT_THROW(model.advance(0, 2, 1, out), std::out_of_range);
+}
+
 TEST(MobilityModel, TraceDwellReadsTheScheduleExactly) {
   sim::MobilityConfig config;
   config.mode = sim::MobilityMode::kTraceDriven;
@@ -148,54 +238,60 @@ TEST(MobilityModel, ResidencyProbabilityStaysInUnitInterval) {
 }
 
 // The tentpole invariants, fuzzed over both modes, both knapsack-family
-// policies and 30+ seeds: no client is ever lost or duplicated, cell
-// rosters track the model exactly (so no request is ever served by a
-// non-resident cell — requests only come from rosters), and every
-// boundary crossing becomes exactly one delivered handoff record.
+// policies, 30+ seeds and serial or pooled steps: no client is ever lost
+// or duplicated, cell rosters track the model exactly (so no request is
+// ever served by a non-resident cell — requests only come from rosters),
+// and every boundary crossing becomes exactly one delivered handoff
+// record.
 TEST(MobilityFleet, InvariantFuzzAcrossModesPoliciesAndSeeds) {
   const char* policies[] = {"on-demand-knapsack", "on-demand-lowest-recency"};
+  util::ThreadPool two(2);
   std::size_t combos = 0;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     for (const bool trace : {false, true}) {
-      exp::MultiCellConfig config = mobile_config(seed);
-      config.cell.base_policy = policies[seed % 2];
-      if (trace) {
-        config.mobility = trace_mobility(
-            seed, config.cell_count,
-            config.cell_count * config.cell.client_count, config.cell.ticks);
-      }
-      SCOPED_TRACE(std::string(trace ? "trace" : "waypoint") + " seed " +
-                   std::to_string(seed) + " policy " +
-                   config.cell.base_policy);
-      exp::MobilityFleet fleet(config);
-      const std::size_t total = fleet.client_count();
-      std::vector<std::size_t> residents;
-      while (!fleet.done()) {
-        fleet.step();
-        // Conservation: the model's census sums to the population.
-        fleet.model().count_residents(residents);
-        std::size_t census = 0;
-        for (std::size_t count : residents) census += count;
-        ASSERT_EQ(census, total);
-        // Rosters in lockstep with the model, sorted, disjoint.
-        std::size_t rostered = 0;
-        for (std::size_t cell = 0; cell < fleet.cell_count(); ++cell) {
-          const auto& roster = fleet.roster(cell);
-          ASSERT_TRUE(std::is_sorted(roster.begin(), roster.end()));
-          ASSERT_EQ(roster.size(), residents[cell]);
-          rostered += roster.size();
-          for (const std::uint32_t id : roster) {
-            ASSERT_EQ(fleet.cell_of_client(id), std::uint32_t(cell));
-          }
+      for (util::ThreadPool* pool :
+           {static_cast<util::ThreadPool*>(nullptr), &two}) {
+        exp::MultiCellConfig config = mobile_config(seed);
+        config.cell.base_policy = policies[seed % 2];
+        if (trace) {
+          config.mobility = trace_mobility(
+              seed, config.cell_count,
+              config.cell_count * config.cell.client_count, config.cell.ticks);
         }
-        ASSERT_EQ(rostered, total);
-        // Every crossing posted, delivered, and none left in flight.
-        ASSERT_EQ(fleet.bus().pending(), 0u);
-        ASSERT_EQ(fleet.bus().posted(), fleet.bus().delivered());
-        ASSERT_EQ(fleet.stats().crossings, fleet.bus().posted());
-        ASSERT_EQ(fleet.stats().migrations, fleet.bus().delivered());
+        SCOPED_TRACE(std::string(trace ? "trace" : "waypoint") + " seed " +
+                     std::to_string(seed) + " policy " +
+                     config.cell.base_policy +
+                     (pool ? " pool of 2" : " serial"));
+        exp::MobilityFleet fleet(config);
+        const std::size_t total = fleet.client_count();
+        std::vector<std::size_t> residents;
+        while (!fleet.done()) {
+          fleet.step(pool);
+          // Conservation: the model's census sums to the population.
+          fleet.model().count_residents(residents);
+          std::size_t census = 0;
+          for (std::size_t count : residents) census += count;
+          ASSERT_EQ(census, total);
+          // Rosters in lockstep with the model, sorted, disjoint.
+          std::size_t rostered = 0;
+          for (std::size_t cell = 0; cell < fleet.cell_count(); ++cell) {
+            const auto& roster = fleet.roster(cell);
+            ASSERT_TRUE(std::is_sorted(roster.begin(), roster.end()));
+            ASSERT_EQ(roster.size(), residents[cell]);
+            rostered += roster.size();
+            for (const std::uint32_t id : roster) {
+              ASSERT_EQ(fleet.cell_of_client(id), std::uint32_t(cell));
+            }
+          }
+          ASSERT_EQ(rostered, total);
+          // Every crossing posted, delivered, and none left in flight.
+          ASSERT_EQ(fleet.bus().pending(), 0u);
+          ASSERT_EQ(fleet.bus().posted(), fleet.bus().delivered());
+          ASSERT_EQ(fleet.stats().crossings, fleet.bus().posted());
+          ASSERT_EQ(fleet.stats().migrations, fleet.bus().delivered());
+        }
+        ++combos;
       }
-      ++combos;
     }
   }
   EXPECT_GE(combos, 30u);
@@ -247,6 +343,63 @@ TEST(MobilityFleet, MobilityOnBitIdenticalAcrossPoolSizes) {
 // unchanged sharded path — no mc.mobility.* metrics, no residency map,
 // no extra RNG draws (golden_run_test pins the registry bytes against
 // the pre-mobility baseline; here we pin the structural half).
+// One client hops A -> B -> C within one tick while the cells around it
+// tick on a pool: the barrier queues both moves for the engines, which
+// apply them on their own threads. The client must end in C alone, with
+// one handoff window opened (the second begin_handoff of the tick finds
+// the window open and does not count again), both records delivered, and
+// every cell where the serial run has it.
+TEST(MobilityFleet, MultiHopTickMatchesSerialOnPools) {
+  exp::MultiCellConfig config = mobile_config(9);
+  config.cell_count = 3;
+  config.cell.client_count = 2;  // client 0 starts in cell 0
+  config.cell.ticks = 8;
+  config.mobility = sim::MobilityConfig{};
+  config.mobility.mode = sim::MobilityMode::kTraceDriven;
+  config.mobility.handoff_ticks = 2;
+  constexpr sim::Tick kHop = 4;
+  config.mobility.trace = {{kHop, 0, 1}, {kHop, 0, 2}};
+
+  const auto run = [&](util::ThreadPool* pool) {
+    exp::MobilityFleet fleet(config);
+    while (fleet.now() < kHop) fleet.step(pool);
+    EXPECT_FALSE(fleet.mobile_client(0).in_handoff());
+    const std::uint64_t handoffs = fleet.mobile_client(0).handoff_count();
+    fleet.step(pool);
+    EXPECT_EQ(fleet.mobile_client(0).handoff_count(), handoffs + 1);
+    EXPECT_EQ(fleet.bus().posted(), 2u);
+    EXPECT_EQ(fleet.bus().delivered(), 2u);
+    EXPECT_EQ(fleet.cell_of_client(0), 2u);
+    for (std::size_t cell = 0; cell < fleet.cell_count(); ++cell) {
+      const auto& roster = fleet.roster(cell);
+      EXPECT_EQ(std::count(roster.begin(), roster.end(), 0u),
+                cell == 2 ? 1 : 0)
+          << "cell " << cell;
+    }
+    std::vector<client::CellResult> after_hop;
+    for (std::size_t cell = 0; cell < fleet.cell_count(); ++cell) {
+      after_hop.push_back(fleet.cell_result(cell));
+    }
+    while (!fleet.done()) fleet.step(pool);
+    std::vector<client::CellResult> at_end;
+    for (std::size_t cell = 0; cell < fleet.cell_count(); ++cell) {
+      at_end.push_back(fleet.cell_result(cell));
+    }
+    return std::make_pair(after_hop, at_end);
+  };
+
+  const auto serial = run(nullptr);
+  for (const std::size_t pool_size : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pool size " + std::to_string(pool_size));
+    util::ThreadPool pool(pool_size);
+    const auto pooled = run(&pool);
+    for (std::size_t cell = 0; cell < config.cell_count; ++cell) {
+      expect_identical(serial.first[cell], pooled.first[cell]);
+      expect_identical(serial.second[cell], pooled.second[cell]);
+    }
+  }
+}
+
 TEST(MobilityFleet, MobilityOffRegistersNothingExtra) {
   exp::MultiCellConfig config = mobile_config(7);
   config.mobility = sim::MobilityConfig{};  // mode = kOff

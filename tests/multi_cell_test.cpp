@@ -264,6 +264,45 @@ TEST(MultiCell, RejectsShardedOnlyOptionsOnCoopClusters) {
   EXPECT_THROW(exp::run_multi_cell(skewed), std::invalid_argument);
 }
 
+// A negative tick count must be refused before any work, naming the
+// field, on every sharded route: a bare run (which used to return an
+// empty result), a recorded run and a mobility run (both used to die in
+// vector::reserve with std::length_error). Zero ticks is an empty run.
+TEST(MultiCell, RejectsNegativeTickCount) {
+  exp::MultiCellConfig bare = small_config();
+  bare.cell.ticks = -5;
+  exp::MultiCellConfig mobile = bare;
+  mobile.mobility.mode = sim::MobilityMode::kRandomWaypoint;
+  obs::MetricsRegistry registry;
+  obs::SeriesRecorder recorder(registry);
+  const auto rejection = [](const exp::MultiCellConfig& config,
+                            const exp::MultiCellObservers& observers) {
+    std::string message;
+    try {
+      exp::run_multi_cell(config, nullptr, observers);
+    } catch (const std::invalid_argument& e) {
+      message = e.what();
+    }
+    return message;
+  };
+  for (const std::string& message :
+       {rejection(bare, {}), rejection(bare, {.recorder = &recorder}),
+        rejection(mobile, {})}) {
+    EXPECT_NE(message.find("cell.ticks"), std::string::npos)
+        << "expected an invalid_argument naming cell.ticks, got '" << message
+        << "'";
+  }
+  EXPECT_EQ(registry.find_counter("mc.requests"), nullptr);
+
+  bare.cell.ticks = 0;
+  mobile.cell.ticks = 0;
+  EXPECT_EQ(exp::run_multi_cell(bare).total_requests, 0u);
+  const exp::MultiCellResult recorded =
+      exp::run_multi_cell(bare, nullptr, {.recorder = &recorder});
+  EXPECT_EQ(recorded.total_requests, 0u);
+  EXPECT_EQ(exp::run_multi_cell(mobile).total_requests, 0u);
+}
+
 TEST(MultiCell, ShardCostEstimatesFollowClientsTimesTicks) {
   exp::MultiCellConfig config = small_config();  // 6 cells, 8 clients, 40 ticks
   const auto uniform = exp::shard_cost_estimates(config);
