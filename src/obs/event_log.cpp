@@ -1,30 +1,79 @@
 #include "obs/event_log.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace mobi::obs {
 
-void append_event_jsonl(std::string& out, const RequestEvent& event) {
-  out += "{\"t\":";
-  out += std::to_string(event.tick);
-  out += ",\"ev\":\"";
-  out += event_kind_name(event.kind);
-  out += "\",\"obj\":";
-  out += std::to_string(event.object);
+namespace {
+
+// Bytes each sink flush formats before writing them out: large enough
+// that fwrite calls are rare, small enough to stay in cache.
+constexpr std::size_t kFlushBytes = std::size_t(1) << 16;
+
+std::string_view kind_text(EventKind kind) noexcept {
+  switch (kind) {
+    case EventKind::kArrival: return "arrival";
+    case EventKind::kCacheHit: return "cache_hit";
+    case EventKind::kCacheMiss: return "cache_miss";
+    case EventKind::kDegradedServe: return "degraded_serve";
+    case EventKind::kDelivery: return "delivery";
+    case EventKind::kFetchSelected: return "fetch_selected";
+    case EventKind::kFetchDone: return "fetch_done";
+    case EventKind::kFetchFailed: return "fetch_failed";
+    case EventKind::kRetryAttempt: return "retry_attempt";
+    case EventKind::kRetryDrop: return "retry_drop";
+    case EventKind::kDownlinkDelivered: return "downlink_delivered";
+    case EventKind::kDownlinkDrop: return "downlink_drop";
+    case EventKind::kNetBatch: return "net_batch";
+    case EventKind::kHandoff: return "handoff";
+    case EventKind::kSloAlert: return "slo_alert";
+  }
+  return "?";
+}
+
+char* put(char* out, std::string_view text) noexcept {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
+
+// Decimal integers fit in 20 chars (the sign of INT64_MIN included).
+template <typename Int>
+char* put_int(char* out, Int value) noexcept {
+  return std::to_chars(out, out + 20, value).ptr;
+}
+
+}  // namespace
+
+char* format_event_jsonl(char* out, const RequestEvent& event) noexcept {
+  out = put(out, "{\"t\":");
+  out = put_int(out, event.tick);
+  out = put(out, ",\"ev\":\"");
+  out = put(out, kind_text(event.kind));
+  out = put(out, "\",\"obj\":");
+  out = put_int(out, event.object);
   if (event.client != RequestEvent::kNoClient) {
-    out += ",\"client\":";
-    out += std::to_string(event.client);
+    out = put(out, ",\"client\":");
+    out = put_int(out, event.client);
   }
   if (event.attempt != 0) {
-    out += ",\"k\":";
-    out += std::to_string(event.attempt);
+    out = put(out, ",\"k\":");
+    out = put_int(out, event.attempt);
   }
   if (event.value != 0.0) {
-    out += ",\"v\":";
-    out += json::number(event.value);
+    out = put(out, ",\"v\":");
+    out = json::format_number(out, event.value);
   }
-  out += "}\n";
+  return put(out, "}\n");
+}
+
+void append_event_jsonl(std::string& out, const RequestEvent& event) {
+  char line[kMaxEventJsonl];
+  out.append(line, format_event_jsonl(line, event));
 }
 
 // ---------------------------------------------------------------------------
@@ -45,9 +94,8 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path, const Config& config)
   }
   active_.reserve(capacity_);
   pending_.reserve(capacity_);
-  // Worst-case line is well under 128 bytes; pre-grow the scratch so the
-  // very first flush is already steady-state.
-  scratch_.reserve(capacity_ * 64);
+  // A half never formats to more than capacity_ longest lines.
+  bytes_.resize(std::min(kFlushBytes, capacity_ * kMaxEventJsonl));
   const std::string header =
       "{\"schema\":\"mobicache.trace.v1\",\"streamed\":true}\n";
   ok_ = std::fwrite(header.data(), 1, header.size(), file_) == header.size();
@@ -84,15 +132,23 @@ void JsonlTraceSink::swap_and_dispatch() {
 }
 
 void JsonlTraceSink::flush_buffer(std::vector<RequestEvent>& buffer) {
-  scratch_.clear();
+  char* const first = bytes_.data();
+  char* const last = first + bytes_.size();
+  char* out = first;
+  bool written = true;
+  const auto write_out = [&] {
+    const std::size_t size = std::size_t(out - first);
+    written = written && std::fwrite(first, 1, size, file_) == size;
+    out = first;
+  };
   for (const RequestEvent& event : buffer) {
-    append_event_jsonl(scratch_, event);
+    if (std::size_t(last - out) < kMaxEventJsonl) write_out();
+    out = format_event_jsonl(out, event);
   }
+  write_out();
   // Only events whose bytes reached the file count as flushed; stdio
   // reports a full or failing device at fflush, not at fwrite.
-  if (std::fwrite(scratch_.data(), 1, scratch_.size(), file_) ==
-          scratch_.size() &&
-      std::fflush(file_) == 0) {
+  if (written && std::fflush(file_) == 0) {
     flushed_.fetch_add(buffer.size(), std::memory_order_relaxed);
   } else {
     ok_ = false;
@@ -157,24 +213,7 @@ void JsonlTraceSink::close() {
 }
 
 const char* event_kind_name(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kArrival: return "arrival";
-    case EventKind::kCacheHit: return "cache_hit";
-    case EventKind::kCacheMiss: return "cache_miss";
-    case EventKind::kDegradedServe: return "degraded_serve";
-    case EventKind::kDelivery: return "delivery";
-    case EventKind::kFetchSelected: return "fetch_selected";
-    case EventKind::kFetchDone: return "fetch_done";
-    case EventKind::kFetchFailed: return "fetch_failed";
-    case EventKind::kRetryAttempt: return "retry_attempt";
-    case EventKind::kRetryDrop: return "retry_drop";
-    case EventKind::kDownlinkDelivered: return "downlink_delivered";
-    case EventKind::kDownlinkDrop: return "downlink_drop";
-    case EventKind::kNetBatch: return "net_batch";
-    case EventKind::kHandoff: return "handoff";
-    case EventKind::kSloAlert: return "slo_alert";
-  }
-  return "?";
+  return kind_text(kind).data();
 }
 
 EventLog::EventLog(std::size_t capacity) : capacity_(capacity) {

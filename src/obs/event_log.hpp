@@ -66,10 +66,19 @@ struct RequestEvent {
   static constexpr std::uint32_t kNoClient = 0xffffffffu;
 };
 
-/// Appends one compact JSONL object for `event` to `out` (including the
-/// trailing newline) — the body-line format of `mobicache.trace.v1`.
-/// Shared by EventLog::to_jsonl and the streaming sinks, so a streamed
-/// trace's event lines are byte-identical to the buffered export's.
+/// Longest event line, newline included: every field at its widest.
+///   {"t":-9223372036854775808,"ev":"downlink_delivered","obj":4294967295,
+///    "client":4294967294,"k":4294967295,"v":-2.2250738585072014e-308}
+inline constexpr std::size_t kMaxEventJsonl = 134;
+
+/// Writes one compact JSONL object for `event` (including the trailing
+/// newline) — the body-line format of `mobicache.trace.v1` — into `out`,
+/// which must have room for kMaxEventJsonl chars; returns the end of the
+/// line. The one writer behind EventLog::to_jsonl and the streaming
+/// sinks, so a streamed trace's event lines are byte-identical to the
+/// buffered export's.
+char* format_event_jsonl(char* out, const RequestEvent& event) noexcept;
+/// format_event_jsonl appended to `out`.
 void append_event_jsonl(std::string& out, const RequestEvent& event);
 
 /// Where streamed trace events go. Implementations must tolerate write()
@@ -99,8 +108,10 @@ class EventSink {
 /// half fills it is handed to the flusher — a background thread by
 /// default, or flushed inline when `background_flush` is off (the
 /// per-shard sinks of a multi-cell run use inline mode so a thousand
-/// cells do not spawn a thousand flusher threads). Serialization reuses
-/// a grow-only scratch string, so the steady state allocates nothing.
+/// cells do not spawn a thousand flusher threads). The flusher formats
+/// lines straight into a fixed byte buffer and writes it out whenever
+/// less than one longest line of room is left, so the steady state
+/// allocates nothing.
 ///
 /// File format (`mobicache.trace.v1` streamed framing): a header line
 /// {"schema":"mobicache.trace.v1","streamed":true}, one event line per
@@ -154,8 +165,8 @@ class JsonlTraceSink final : public EventSink {
 
   std::vector<RequestEvent> active_;
   std::vector<RequestEvent> pending_;
-  std::string scratch_;  // grow-only serialization buffer (flusher side)
   std::size_t capacity_;
+  std::vector<char> bytes_;  // fixed-size line buffer (flusher side)
 
   std::uint64_t streamed_ = 0;      // producer thread only
   std::uint64_t flush_blocks_ = 0;  // producer thread only

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -197,22 +198,24 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-std::string number(double value) {
-  if (std::isnan(value) || std::isinf(value)) return "null";
+char* format_number(char* first, double value) noexcept {
+  char* const last = first + kMaxNumberChars;
+  if (std::isnan(value) || std::isinf(value)) {
+    std::memcpy(first, "null", 4);
+    return first + 4;
+  }
   if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    char buf[32];
-    const auto [end, ec] =
-        std::to_chars(buf, buf + sizeof(buf), (long long)(value));
-    (void)ec;
-    return std::string(buf, end);
+    return std::to_chars(first, last, (long long)(value)).ptr;
   }
   // std::to_chars emits the shortest decimal text that parses back to the
   // identical double, and unlike snprintf ignores the C locale — so the
   // JSON/Prometheus exports are byte-stable across platforms and LC_*.
-  char buf[40];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  (void)ec;
-  return std::string(buf, end);
+  return std::to_chars(first, last, value).ptr;
+}
+
+std::string number(double value) {
+  char buf[kMaxNumberChars];
+  return std::string(buf, format_number(buf, value));
 }
 
 }  // namespace json

@@ -125,7 +125,7 @@ class MetricsRegistry {
   /// All metric names, sorted — the deterministic export order.
   std::vector<std::string> names() const;
   /// Counter and gauge names, sorted (the scalar metrics a SeriesRecorder
-  /// snapshots each tick).
+  /// binds its series to).
   std::vector<std::string> scalar_names() const;
   /// Current value of a counter (as double) or gauge; throws for
   /// histograms and unknown names.
@@ -150,8 +150,14 @@ class MetricsRegistry {
 namespace json {
 /// Escapes a string for embedding in JSON (quotes not included).
 std::string escape(const std::string& text);
-/// Formats a double so it round-trips exactly (integral values print
-/// without a fractional part; NaN/inf clamp to null per JSON).
+/// Longest text format_number writes: `-2.2250738585072014e-308`.
+inline constexpr std::size_t kMaxNumberChars = 24;
+/// Writes a double so it round-trips exactly (integral values print
+/// without a fractional part; NaN/inf clamp to null per JSON) into
+/// `first`, which must have room for kMaxNumberChars chars; returns the
+/// end of the text.
+char* format_number(char* first, double value) noexcept;
+/// format_number as a string.
 std::string number(double value);
 }  // namespace json
 

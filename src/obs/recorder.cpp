@@ -12,8 +12,9 @@ void SeriesRecorder::reserve(std::size_t samples) {
   for (auto& [name, values] : series_) values.reserve(reserve_hint_);
 }
 
-void SeriesRecorder::sample(sim::Tick tick) {
+void SeriesRecorder::bind() {
   const std::size_t before = ticks_.size();
+  bindings_.clear();
   for (const std::string& name : registry_->scalar_names()) {
     auto it = series_.find(name);
     if (it == series_.end()) {
@@ -23,7 +24,18 @@ void SeriesRecorder::sample(sim::Tick tick) {
     }
     Series& values = it->second;
     if (values.size() < before) values.resize(before, 0.0);  // late joiner
-    values.push_back(registry_->scalar_value(name));
+    bindings_.push_back({registry_->find_counter(name),
+                         registry_->find_gauge(name), &values});
+  }
+  bound_size_ = registry_->size();
+}
+
+void SeriesRecorder::sample(sim::Tick tick) {
+  if (registry_->size() != bound_size_) bind();
+  for (const Binding& binding : bindings_) {
+    binding.values->push_back(binding.counter
+                                  ? double(binding.counter->value())
+                                  : binding.gauge->value());
   }
   ticks_.push_back(tick);
 }

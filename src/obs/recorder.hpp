@@ -42,9 +42,11 @@ class SeriesRecorder {
   /// later, so steady-state sampling never reallocates.
   void reserve(std::size_t samples);
 
-  /// Snapshots every counter and gauge currently registered. A metric
-  /// registered after the first sample joins with zeros backfilled for the
-  /// ticks it missed, so every series stays aligned with ticks().
+  /// Snapshots every counter and gauge currently registered, through
+  /// pointers bound once and rebound only when the registry has grown
+  /// since (it never unregisters). A metric registered after the first
+  /// sample joins with zeros backfilled for the ticks it missed, so every
+  /// series stays aligned with ticks().
   void sample(sim::Tick tick);
 
   std::size_t samples() const noexcept { return ticks_.size(); }
@@ -63,11 +65,24 @@ class SeriesRecorder {
   util::Table to_table() const;
 
  private:
+  // One scalar metric's live value and its series; exactly one of
+  // counter and gauge is set.
+  struct Binding {
+    const Counter* counter;
+    const Gauge* gauge;
+    Series* values;
+  };
+
+  // Rebuilds bindings_ from the registry's scalars, in name order.
+  void bind();
+
   MetricsRegistry* registry_;
   util::MonotonicArena* arena_ = nullptr;
   std::size_t reserve_hint_ = 0;
   std::vector<sim::Tick, util::ArenaAllocator<sim::Tick>> ticks_;
   std::map<std::string, Series> series_;
+  std::vector<Binding> bindings_;
+  std::size_t bound_size_ = 0;  // registry size() at the last bind()
 };
 
 }  // namespace mobi::obs

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -27,10 +28,12 @@
 #include "core/base_station.hpp"
 #include "exp/mobility_fleet.hpp"
 #include "exp/multi_cell.hpp"
+#include "exp/soak.hpp"
 #include "net/fault_injector.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 #include "obs/window.hpp"
 #include "object/builders.hpp"
@@ -476,20 +479,29 @@ TEST(AllocRegression, ShardedCellSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocRegression, StreamingSinkSteadyStateIsAllocationFree) {
-  // The inline-flush JsonlTraceSink reserves both event halves and the
-  // serialization scratch at construction; steady-state write() is a
-  // push into reserved storage and flushes serialize into the grow-only
-  // scratch and fwrite (stdio buffers are not operator-new traffic). One
-  // warm-up lap past several flush boundaries grows the scratch to its
-  // high-water mark; after that, streaming allocates nothing.
+  // The inline-flush JsonlTraceSink reserves both event halves and its
+  // byte buffer at construction; steady-state write() is a push into
+  // reserved storage and flushes format lines straight into the byte
+  // buffer and fwrite it (stdio buffers are not operator-new traffic).
+  // The values include every number shape, among them texts too long
+  // for a small-string buffer and the non-finite ones.
   obs::JsonlTraceSink sink("/dev/null", {256, /*background_flush=*/false});
-  const auto one_lap = [&sink] {
-    for (std::uint32_t i = 0; i < 2048; ++i) {
-      sink.write({sim::Tick(i), obs::EventKind(i % 13), i % 3, i, i % 7,
-                  double(i % 5)});
+  const auto value = [](std::uint32_t i) {
+    switch (i % 5) {
+      case 0: return double(i % 7);
+      case 1: return double(i) / 3.0;
+      case 2: return -1.7976931348623157e308;
+      case 3: return std::numeric_limits<double>::quiet_NaN();
+      default: return std::numeric_limits<double>::infinity();
     }
   };
-  one_lap();  // warm-up: scratch reaches its high-water mark
+  const auto one_lap = [&sink, &value] {
+    for (std::uint32_t i = 0; i < 2048; ++i) {
+      sink.write({sim::Tick(i), obs::EventKind(i % 13), i % 3, i, i % 7,
+                  value(i)});
+    }
+  };
+  one_lap();  // warm-up past several flush boundaries
   const std::uint64_t before = g_allocations.load();
   one_lap();
   sink.flush();
@@ -498,6 +510,103 @@ TEST(AllocRegression, StreamingSinkSteadyStateIsAllocationFree) {
       << (after - before) << " steady-state heap allocations";
   EXPECT_EQ(sink.streamed_events(), 4096u);
   EXPECT_EQ(sink.flushed_events(), 4096u);
+}
+
+TEST(AllocRegression, ObservedStationSteadyStateIsAllocationFree) {
+  // Every observer at once, wired as the perf ledger's station_observed
+  // workload wires them: live station and server metrics sampled by a
+  // reserved SeriesRecorder, a 1-in-16 RequestTracer with its latency
+  // histograms, an inline-flush JSONL sink, tumbling windows, a phase
+  // profiler with live prof.phase.* counters and an SLO monitor writing
+  // to the sink. The recorder samples through bound pointers and the
+  // sink formats into its fixed byte buffer, so the observed tick
+  // allocates nothing.
+  constexpr std::size_t kObjects = 256;
+  constexpr std::size_t kBatch = 128;
+  constexpr int kUpdatesPerTick = 8;
+  constexpr sim::Tick kWindowTicks = 8;
+  constexpr int kWarmupPasses = 4;
+  constexpr int kMeasuredPasses = 3;
+
+  util::Rng rng(1);
+  const auto catalog = object::make_random_catalog(kObjects, 1, 8, rng);
+  server::ServerPool servers(catalog, 1);
+  core::BaseStationConfig config;
+  config.download_budget = object::Units(kObjects) / 4;
+  config.downlink_capacity = 1 << 20;
+  core::BaseStation station(catalog, servers, cache::make_harmonic_decay(),
+                            std::make_unique<core::ReciprocalScorer>(),
+                            core::make_policy("on-demand-knapsack"), config);
+
+  workload::RequestGenerator generator(
+      workload::make_zipf_access(kObjects, 1.0),
+      workload::UniformTarget{0.5, 1.0}, kBatch, rng.split());
+  std::vector<workload::RequestBatch> batches;
+  for (int b = 0; b < 16; ++b) batches.push_back(generator.next_batch());
+  std::vector<object::ObjectId> update_ids;
+  for (std::size_t i = 0; i < batches.size() * kUpdatesPerTick; ++i) {
+    update_ids.push_back(
+        object::ObjectId(rng.uniform_int(0, std::int64_t(kObjects) - 1)));
+  }
+  const sim::Tick total_ticks =
+      sim::Tick(batches.size()) * (kWarmupPasses + kMeasuredPasses);
+
+  obs::MetricsRegistry registry;
+  station.set_metrics(&registry);
+  servers.set_metrics(&registry);
+  obs::SeriesRecorder recorder(registry);
+  recorder.reserve(std::size_t(total_ticks));
+  obs::RequestTracer tracer(obs::RequestTracer::Config{16, 1 << 10});
+  tracer.register_histograms(&registry);
+  station.set_request_tracer(&tracer);
+  obs::JsonlTraceSink sink("/dev/null", {256, /*background_flush=*/false});
+  tracer.log().set_sink(&sink);
+  obs::PhaseProfiler profiler;
+  profiler.attach_registry(&registry);
+  obs::SloMonitor monitor(&registry, exp::default_soak_slos());
+  monitor.set_sink(&sink);
+  obs::WindowAggregator::Config window_config;
+  window_config.window_ticks = kWindowTicks;
+  window_config.frame_capacity = std::size_t(total_ticks / kWindowTicks) + 2;
+  obs::WindowAggregator windows(registry, window_config);
+  windows.set_listener(&monitor);
+  windows.begin();
+  station.set_profiler(&profiler);  // creates phases -> live counters
+
+  sim::Tick now = 0;
+  const auto one_pass = [&] {
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      for (int u = 0; u < kUpdatesPerTick; ++u) {
+        station.on_server_update(update_ids[b * kUpdatesPerTick + u], now);
+      }
+      station.process_batch(batches[b], now);
+      recorder.sample(now);
+      windows.on_tick(now);
+      ++now;
+    }
+  };
+
+  for (int pass = 0; pass < kWarmupPasses; ++pass) one_pass();
+  const std::uint64_t warm_flushes = sink.flushes();
+  EXPECT_GE(warm_flushes, 4u);
+  EXPECT_GE(windows.windows_closed(), 4u);
+  const std::uint64_t before = g_allocations.load();
+  for (int pass = 0; pass < kMeasuredPasses; ++pass) one_pass();
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " steady-state heap allocations";
+
+  // The measured ticks exercised every observer.
+  EXPECT_GT(sink.flushes(), warm_flushes);
+  EXPECT_EQ(recorder.samples(), std::size_t(total_ticks));
+  EXPECT_EQ(recorder.series("prof.phase.bs.select.calls").size(),
+            std::size_t(total_ticks));
+  EXPECT_EQ(recorder.series("bs.requests").back(),
+            double(std::size_t(total_ticks) * kBatch));
+  windows.finish();
+  EXPECT_EQ(windows.windows_closed(), std::size_t(total_ticks / kWindowTicks));
+  EXPECT_GT(monitor.evaluations(), 0u);
+  EXPECT_GT(tracer.log().dropped(), 0u);  // the bounded log filled up
 }
 
 TEST(AllocRegression, WindowedProfiledSloSteadyStateIsAllocationFree) {

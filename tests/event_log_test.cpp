@@ -8,11 +8,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/policy_sim.hpp"
@@ -66,6 +68,42 @@ TEST(EventLog, JsonlHeaderAndCompactEventLines) {
       "{\"t\":5,\"ev\":\"arrival\",\"obj\":12,\"client\":3}\n"
       "{\"t\":6,\"ev\":\"retry_attempt\",\"obj\":12,\"k\":2,\"v\":4}\n";
   EXPECT_EQ(log.to_jsonl(), expected);
+}
+
+// Every field at its widest and every value branch of the number
+// formatter: integral, shortest round-trip, exponent, and the non-finite
+// values JSON has no literal for.
+TEST(EventLog, JsonlLinePinsExtremeFields) {
+  constexpr sim::Tick kMin = std::numeric_limits<sim::Tick>::min();
+  constexpr sim::Tick kMax = std::numeric_limits<sim::Tick>::max();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<RequestEvent, std::string>> cases = {
+      {{kMin, EventKind::kDownlinkDelivered, 0xffffffffu, 0xffffffffu,
+        0xfffffffeu, -2.2250738585072014e-308},
+       "{\"t\":-9223372036854775808,\"ev\":\"downlink_delivered\","
+       "\"obj\":4294967295,\"client\":4294967294,\"k\":4294967295,"
+       "\"v\":-2.2250738585072014e-308}\n"},
+      {{kMax, EventKind::kArrival, 0, 0, RequestEvent::kNoClient, 1.0 / 3},
+       "{\"t\":9223372036854775807,\"ev\":\"arrival\",\"obj\":0,"
+       "\"v\":0.3333333333333333}\n"},
+      {{0, EventKind::kFetchDone, 1, 7, RequestEvent::kNoClient, 1e15},
+       "{\"t\":0,\"ev\":\"fetch_done\",\"obj\":7,\"k\":1,\"v\":1e+15}\n"},
+      {{-1, EventKind::kCacheHit, 0, 3, 0, 123.0},
+       "{\"t\":-1,\"ev\":\"cache_hit\",\"obj\":3,\"client\":0,\"v\":123}\n"},
+      {{2, EventKind::kNetBatch, 4, 0, RequestEvent::kNoClient, nan},
+       "{\"t\":2,\"ev\":\"net_batch\",\"obj\":0,\"k\":4,\"v\":null}\n"},
+      {{3, EventKind::kDownlinkDrop, 0, 0, RequestEvent::kNoClient, -inf},
+       "{\"t\":3,\"ev\":\"downlink_drop\",\"obj\":0,\"v\":null}\n"},
+  };
+  for (const auto& [event, expected] : cases) {
+    std::string line;
+    append_event_jsonl(line, event);
+    EXPECT_EQ(line, expected);
+    EXPECT_LE(line.size(), kMaxEventJsonl);
+  }
+  // The first line is the longest possible: the bound is exact.
+  EXPECT_EQ(cases.front().second.size(), kMaxEventJsonl);
 }
 
 TEST(EventLog, KindNamesAreStable) {
@@ -218,6 +256,41 @@ TEST(JsonlTraceSink, BackgroundFlushWritesTheSameBodyBytes) {
   std::remove(background_path.c_str());
 }
 
+// A half whose lines overflow the sink's fixed byte buffer is written out
+// in several pieces; the file must still hold every line, in order.
+TEST(JsonlTraceSink, HalfLongerThanTheByteBufferKeepsEveryLine) {
+  const std::string path = temp_path("sink_long_half.jsonl");
+  std::vector<RequestEvent> events;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    events.push_back({sim::Tick(1) << 40 | i, EventKind::kDownlinkDelivered,
+                      0xf0000000u | i, 0xf0000000u + i, 0xe0000000u | i,
+                      double(i) / 3.0 - 1e6});
+  }
+  std::string body;
+  for (const RequestEvent& event : events) append_event_jsonl(body, event);
+  ASSERT_GT(body.size() / 3000 * 2048, std::size_t(1) << 17);  // > 2 buffers
+  {
+    JsonlTraceSink sink(path, {2048, /*background_flush=*/false});
+    for (const RequestEvent& event : events) sink.write(event);
+    sink.close();
+    EXPECT_TRUE(sink.ok());
+    EXPECT_EQ(sink.flushes(), 2u);
+    EXPECT_EQ(sink.flushed_events(), 3000u);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::string header =
+      "{\"schema\":\"mobicache.trace.v1\",\"streamed\":true}\n";
+  ASSERT_GE(file.size(), header.size() + body.size());
+  EXPECT_EQ(file.substr(0, header.size()), header);
+  EXPECT_TRUE(file.compare(header.size(), body.size(), body) == 0);
+  EXPECT_EQ(file.substr(header.size() + body.size()),
+            "{\"streamed_end\":true,\"events\":3000,\"flushes\":2,"
+            "\"flush_blocks\":0}\n");
+  std::remove(path.c_str());
+}
+
 TEST(JsonlTraceSink, WriteAfterCloseIsACountedNoop) {
   const std::string path = temp_path("sink_closed.jsonl");
   JsonlTraceSink sink(path, {8, false});
@@ -237,16 +310,21 @@ TEST(JsonlTraceSink, WriteAfterCloseIsACountedNoop) {
 // short trace must still report the failure, and a long one must not
 // count events that never reached the device as flushed.
 TEST(JsonlTraceSink, WriteFailuresAreVisible) {
-  for (const std::uint32_t events : {10u, 100000u}) {
-    SCOPED_TRACE(events);
-    JsonlTraceSink sink("/dev/full", {64, /*background_flush=*/false});
-    for (std::uint32_t i = 0; i < events; ++i) {
-      sink.write({sim::Tick(i), EventKind::kArrival, i % 7, i, 3, 0.0});
+  // A 4096-event half outgrows the sink's byte buffer, so its flushes
+  // write out several pieces before the fflush.
+  for (const std::size_t half : {std::size_t(64), std::size_t(4096)}) {
+    for (const std::uint32_t events : {10u, 100000u}) {
+      SCOPED_TRACE(std::to_string(half) + "-event halves, " +
+                   std::to_string(events) + " events");
+      JsonlTraceSink sink("/dev/full", {half, /*background_flush=*/false});
+      for (std::uint32_t i = 0; i < events; ++i) {
+        sink.write({sim::Tick(i), EventKind::kArrival, i % 7, i, 3, 0.0});
+      }
+      sink.close();
+      EXPECT_FALSE(sink.ok());
+      EXPECT_EQ(sink.streamed_events(), events);
+      EXPECT_EQ(sink.flushed_events(), 0u);
     }
-    sink.close();
-    EXPECT_FALSE(sink.ok());
-    EXPECT_EQ(sink.streamed_events(), events);
-    EXPECT_EQ(sink.flushed_events(), 0u);
   }
 }
 

@@ -13,9 +13,11 @@
 # For each end-to-end metric in the change tree's BENCHMARK.json it prints
 # both sides' median and q1-q3 (inclusive quartiles) and the pairs the
 # change won (ties count for neither side), checks that both sides print
-# the same digest in every pair, and then prints one entry to append to
-# BENCH_ledger.json. Each run's stdout is kept in a directory named on
-# stderr.
+# the same digest in every pair, prints the host's CPU steal over the
+# whole set (from the aggregate `cpu` line of /proc/stat, as a percentage
+# of all jiffies; null where /proc/stat is unreadable), and then prints
+# one entry to append to BENCH_ledger.json. Each run's stdout is kept in
+# a directory named on stderr.
 set -euo pipefail
 
 if (($# != 7)); then
@@ -38,6 +40,15 @@ run_side() {  # run_side SIDE TREE PAIR
     >"$runs/$1_$3.out" 2>>"$runs/build.log"
 }
 
+cpu_jiffies() {  # prints "STEAL TOTAL", or nothing if /proc/stat is unreadable
+  local cpu user nice system idle iowait irq softirq steal rest
+  if read -r cpu user nice system idle iowait irq softirq steal rest \
+    2>/dev/null </proc/stat && [[ $cpu == cpu && -n $steal ]]; then
+    echo "$steal $((user + nice + system + idle + iowait + irq + softirq + steal))"
+  fi
+}
+
+cpu_before=$(cpu_jiffies)
 for ((i = 0; i < pairs; ++i)); do
   if ((i % 2 == 0)); then
     run_side parent "$parent_tree" "$i"
@@ -48,16 +59,26 @@ for ((i = 0; i < pairs; ++i)); do
   fi
   echo "ledger_ab: pair $((i + 1))/$pairs done" >&2
 done
+cpu_after=$(cpu_jiffies)
 
 python3 - "$runs" "$change_tree/BENCHMARK.json" "$parent_commit" \
-  "$change_commit" "$workload" "$seed" "$pairs" "$(nproc)" <<'EOF'
+  "$change_commit" "$workload" "$seed" "$pairs" "$(nproc)" \
+  "$cpu_before" "$cpu_after" <<'EOF'
 import json
 import statistics
 import sys
 
-runs, benchmark, parent, change, workload, seed, pairs, cpus = sys.argv[1:]
+(runs, benchmark, parent, change, workload, seed, pairs, cpus, cpu_before,
+ cpu_after) = sys.argv[1:]
 seed, pairs, cpus = int(seed), int(pairs), int(cpus)
 metrics = json.load(open(benchmark))["end_to_end"]
+
+steal_pct = None
+if cpu_before and cpu_after:
+    (steal0, total0), (steal1, total1) = (
+        map(int, s.split()) for s in (cpu_before, cpu_after))
+    if total1 > total0:
+        steal_pct = round(100.0 * (steal1 - steal0) / (total1 - total0), 2)
 
 
 def load(side, pair):
@@ -110,6 +131,8 @@ print(f"digests identical in every pair: {'yes' if same_digest else 'NO'}; "
       f"every run correct: {'yes' if correct else 'NO'}; failed operations: "
       f"parent {failed['parent']} of {attempted['parent']}, "
       f"change {failed['change']} of {attempted['change']}")
+print("cpu steal over the set: " +
+      ("null" if steal_pct is None else f"{steal_pct}%"))
 print("BENCH_ledger.json entry:")
 print(json.dumps({
     "commit": change,
@@ -121,6 +144,7 @@ print(json.dumps({
     "pairs": pairs,
     "digests_identical": same_digest,
     "failed": failed,
+    "steal_pct": steal_pct,
     "metrics": entry_metrics,
 }, indent=2))
 EOF
