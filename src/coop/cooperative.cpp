@@ -66,6 +66,10 @@ void validate(const CoopConfig& config) {
     throw std::invalid_argument(
         "run_cooperative: neighbor threshold must be in (0, 1]");
   }
+  if (config.warmup_ticks < 0 || config.measure_ticks < 0) {
+    throw std::invalid_argument(
+        "run_cooperative: warmup_ticks and measure_ticks must be >= 0");
+  }
 }
 
 }  // namespace

@@ -168,7 +168,9 @@ class CoopCluster : public CoherenceDirectory::Listener {
 /// counters (and `coop.coherence.wire_units` for propagation traffic) —
 /// into its registry, one sample per tick. Sim-time only, so the
 /// exported document is bit-reproducible (the golden_coop gate). Both
-/// are observation: the result is the same with or without them.
+/// are observation: the result is the same with or without them. Throws
+/// std::invalid_argument on no cells, a neighbor threshold outside
+/// (0, 1], or a negative warmup_ticks or measure_ticks.
 CoopResult run_cooperative(const CoopConfig& config,
                            std::vector<CoopResult>* per_tick = nullptr,
                            obs::SeriesRecorder* recorder = nullptr);

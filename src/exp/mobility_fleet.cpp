@@ -93,8 +93,6 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
     probe_.emplace(*predictor_);
     for (auto& cell : cells_) cell->station().set_residency_probe(&*probe_);
   }
-  bus_.emplace(config_.cell_count);
-  bus_->reserve(total);
   block_crossings_.resize(kModelBlocks);
   for (std::size_t b = 0; b < kModelBlocks; ++b) {
     block_crossings_[b].reserve(total * (b + 1) / kModelBlocks -
@@ -133,33 +131,26 @@ void MobilityFleet::run_index(sim::Tick t, std::size_t index) {
 
 std::size_t MobilityFleet::barrier(sim::Tick t) {
   model_->publish(t);
+  // Block order is crossing order: a client that hops through two cells
+  // this tick leaves the first before it can leave the second. Each
+  // inbox keeps that order for its own cell, which is all a roster needs.
   std::size_t crossings = 0;
   for (const std::vector<sim::Crossing>& block : block_crossings_) {
     crossings += block.size();
     for (const sim::Crossing& crossing : block) {
-      HandoffRecord record;
-      record.client = crossing.client;
-      record.from = crossing.from;
-      record.to = crossing.to;
-      record.cache_units = clients_[crossing.client].local_cache().used();
-      bus_->post(record);
+      client::MobileClient& client = clients_[crossing.client];
+      const object::Units units = client.local_cache().used();
       if (obs::RequestTracer* tracer = cells_[crossing.from]->tracer()) {
-        tracer->on_handoff(crossing.client, crossing.to,
-                           double(record.cache_units));
+        tracer->on_handoff(crossing.client, crossing.to, double(units));
       }
+      inboxes_[crossing.from].push_back({crossing.client, false});
+      inboxes_[crossing.to].push_back({crossing.client, true});
+      client.begin_handoff(config_.mobility.handoff_ticks);
+      stats_.migrated_units += std::uint64_t(units);
     }
   }
-  // Post order is delivery order: a client that hops through two cells
-  // this tick leaves the first before it can leave the second. Each
-  // inbox keeps that order for its own cell, which is all a roster needs.
-  bus_->drain([this](const HandoffRecord& record) {
-    inboxes_[record.from].push_back({record.client, false});
-    inboxes_[record.to].push_back({record.client, true});
-    clients_[record.client].begin_handoff(config_.mobility.handoff_ticks);
-  });
   stats_.crossings += crossings;
-  stats_.migrations = bus_->delivered();
-  stats_.migrated_units = bus_->migrated_units();
+  stats_.migrations += crossings;
   stats_.deliveries = 0;
   stats_.lost_deliveries = 0;
   for (const auto& cell : cells_) {

@@ -28,14 +28,17 @@
 //     Trajectories never read cache, station or client state, so the
 //     model can run beside the cells; the cells' residency probes read
 //     the state published at the last barrier.
-//   * the single-threaded barrier publishes the model, posts each crossing
-//     (the blocks' lists in block order: ascending client, each client's
-//     hops in schedule order) to the HandoffBus and drains it, queueing a
-//     release for the old cell and an admit for the new one in per-cell
-//     inboxes the fleet owns and opening a deterministic handoff window on
-//     the crossing client, then appends the stats row. Only the barrier
-//     writes to a client here: in trace mode one client can cross twice
-//     in a tick, and two engines opening its window would race.
+//   * the single-threaded barrier publishes the model, then walks the
+//     crossings (the blocks' lists in block order: ascending client, each
+//     client's hops in schedule order), queueing a release for the old
+//     cell and an admit for the new one in per-cell inboxes the fleet
+//     owns and opening a deterministic handoff window on the crossing
+//     client, then appends the stats row. A move migrates the client's
+//     id between rosters; the client object never moves, so its cache
+//     units ride along as accounting (`migrated_units`), not as a copy.
+//     Only the barrier writes to a client here: in trace mode one client
+//     can cross twice in a tick, and two engines opening its window would
+//     race.
 //
 // With mobility_predictive set, every station's knapsack sees a
 // ResidencyProbe backed by the model's dwell estimates.
@@ -49,7 +52,6 @@
 #include "client/cell.hpp"
 #include "client/mobile_client.hpp"
 #include "core/residency.hpp"
-#include "exp/handoff_bus.hpp"
 #include "exp/multi_cell.hpp"
 #include "sim/mobility.hpp"
 #include "util/thread_pool.hpp"
@@ -134,7 +136,6 @@ class MobilityFleet {
   }
 
   const sim::MobilityModel& model() const noexcept { return *model_; }
-  const HandoffBus& bus() const noexcept { return *bus_; }
   bool predictive() const noexcept { return probe_.has_value(); }
 
   /// Cumulative handoff accounting; `mobility_series()[t]` is the state
@@ -164,7 +165,6 @@ class MobilityFleet {
   std::optional<sim::MobilityModel> model_;
   std::optional<sim::ResidencyPredictor> predictor_;
   std::optional<FleetResidencyProbe> probe_;
-  std::optional<HandoffBus> bus_;
   std::vector<std::vector<sim::Crossing>> block_crossings_;  // per block
   std::vector<std::vector<client::CellEngine::RosterMove>> inboxes_;
 

@@ -356,6 +356,11 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
     throw std::invalid_argument("run_multi_cell: cell.ticks must be >= 0");
   }
   if (config.topology != CellTopology::kSharded) {
+    if (config.cluster.warmup_ticks < 0 || config.cluster.measure_ticks < 0) {
+      throw std::invalid_argument(
+          "run_multi_cell: cluster.warmup_ticks and cluster.measure_ticks "
+          "must be >= 0");
+    }
     if (!config.mobility.empty()) {
       throw std::invalid_argument(
           "run_multi_cell: mobility requires sharded topology");

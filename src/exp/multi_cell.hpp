@@ -96,10 +96,10 @@ struct MultiCellConfig {
   /// RNG draws, byte-identical registry JSON. A non-empty config routes
   /// the run through exp::MobilityFleet: the cells and the model's client
   /// blocks run in one parallel fan-out per tick, then a single-threaded
-  /// barrier posts each crossing to an exp::HandoffBus and queues the
-  /// roster moves each cell applies at the start of its next tick. Sharded
-  /// topology only. The mobility seed is remixed with `seed`, so runs
-  /// with different master seeds get independent trajectories.
+  /// barrier queues, for each crossing, the roster moves each cell
+  /// applies at the start of its next tick. Sharded topology only. The
+  /// mobility seed is remixed with `seed`, so runs with different master
+  /// seeds get independent trajectories.
   sim::MobilityConfig mobility;
   /// Mobility mode: attach a ResidencyProbe to every station so the
   /// knapsack scales per-client benefit by predicted residency (the
@@ -123,7 +123,7 @@ struct MultiCellConfig {
 /// the recorder derives the `mc.mobility.*` per-tick counters.
 struct MobilityRunStats {
   std::uint64_t crossings = 0;       // boundary crossings observed
-  std::uint64_t migrations = 0;      // handoff records delivered
+  std::uint64_t migrations = 0;      // crossings whose roster moves queued
   std::uint64_t migrated_units = 0;  // client-cache units that rode along
   // Delivery-latency accounting (zero when mobility_delivery_ticks == 0).
   std::uint64_t deliveries = 0;       // payloads that landed on their client
@@ -198,8 +198,10 @@ struct MultiCellObservers {
 /// into `mc.*` registry metrics and sampled once per tick after all
 /// shards complete — identical output whatever the pool size. Invalid
 /// configs throw std::invalid_argument before any work, including a
-/// negative cell.ticks on the sharded topology and the sharded-only
-/// options (tracing, per-cell client counts, mobility) on coop clusters.
+/// negative cell.ticks on the sharded topology, a negative
+/// cluster.warmup_ticks or cluster.measure_ticks on coop clusters, and
+/// the sharded-only options (tracing, per-cell client counts, mobility)
+/// on coop clusters.
 MultiCellResult run_multi_cell(const MultiCellConfig& config,
                                util::ThreadPool* pool = nullptr,
                                const MultiCellObservers& observers = {});

@@ -237,7 +237,7 @@ class EventLog {
 /// fixed network, retry path) call into. Owns the EventLog; the sim-time
 /// latency histograms live in an attached MetricsRegistry (null default,
 /// same discipline as set_metrics) so they export through the existing
-/// SeriesRecorder / Prometheus paths.
+/// SeriesRecorder and WindowAggregator paths.
 ///
 /// Sampling is deterministic, not random: request-scoped events are kept
 /// for every `sample_every`-th arrival (a plain counter), so a traced

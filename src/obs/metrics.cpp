@@ -209,7 +209,7 @@ char* format_number(char* first, double value) noexcept {
   }
   // std::to_chars emits the shortest decimal text that parses back to the
   // identical double, and unlike snprintf ignores the C locale — so the
-  // JSON/Prometheus exports are byte-stable across platforms and LC_*.
+  // JSON exports are byte-stable across platforms and LC_*.
   return std::to_chars(first, last, value).ptr;
 }
 

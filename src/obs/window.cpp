@@ -39,16 +39,10 @@ std::uint64_t clamped_delta(std::uint64_t cur, std::uint64_t base) noexcept {
 WindowAggregator::WindowAggregator(const MetricsRegistry& registry,
                                    const Config& config)
     : window_ticks_(config.window_ticks),
-      stride_ticks_(config.stride_ticks > 0 ? config.stride_ticks
-                                            : config.window_ticks),
       frame_capacity_(config.frame_capacity),
       registry_(registry) {
   if (window_ticks_ <= 0) {
     throw std::invalid_argument("WindowAggregator: window_ticks must be > 0");
-  }
-  if (stride_ticks_ > window_ticks_) {
-    throw std::invalid_argument(
-        "WindowAggregator: stride_ticks must be <= window_ticks");
   }
   if (frame_capacity_ == 0) {
     throw std::invalid_argument("WindowAggregator: frame_capacity must be > 0");
@@ -65,29 +59,24 @@ void WindowAggregator::build_columns(const MetricsRegistry& registry) {
   hist_cols_.clear();
   hist_slots_total_ = 0;
 
-  columns_.push_back({"window.start_tick", ColKind::kStartTick, 0});
-  columns_.push_back({"window.end_tick", ColKind::kEndTick, 0});
-  columns_.push_back({"window.ticks", ColKind::kTicks, 0});
+  columns_.push_back("window.start_tick");
+  columns_.push_back("window.end_tick");
+  columns_.push_back("window.ticks");
 
   for (const std::string& name : registry.names()) {
     switch (registry.kind(name)) {
-      case MetricKind::kCounter: {
-        const std::size_t source = counters_.size();
+      case MetricKind::kCounter:
         counters_.push_back(registry.find_counter(name));
         counter_cols_.push_back(columns_.size());
-        columns_.push_back({name + ".rate", ColKind::kRate, source});
+        columns_.push_back(name + ".rate");
         break;
-      }
-      case MetricKind::kGauge: {
-        const std::size_t source = gauges_.size();
+      case MetricKind::kGauge:
         gauges_.push_back(registry.find_gauge(name));
         gauge_cols_.push_back(columns_.size());
-        columns_.push_back({name + ".last", ColKind::kLast, source});
+        columns_.push_back(name + ".last");
         break;
-      }
       case MetricKind::kHistogram: {
         const FixedHistogram* hist = registry.find_histogram(name);
-        const std::size_t source = hists_.size();
         HistShape shape;
         shape.hist = hist;
         shape.lo = hist->lo();
@@ -98,11 +87,11 @@ void WindowAggregator::build_columns(const MetricsRegistry& registry) {
         hists_.push_back(shape);
         hist_slots_total_ += shape.buckets + kHistExtra;
         hist_cols_.push_back(columns_.size());
-        columns_.push_back({name + ".p50", ColKind::kP50, source});
-        columns_.push_back({name + ".p90", ColKind::kP90, source});
-        columns_.push_back({name + ".p99", ColKind::kP99, source});
-        columns_.push_back({name + ".mean", ColKind::kMean, source});
-        columns_.push_back({name + ".count", ColKind::kCount, source});
+        columns_.push_back(name + ".p50");
+        columns_.push_back(name + ".p90");
+        columns_.push_back(name + ".p99");
+        columns_.push_back(name + ".mean");
+        columns_.push_back(name + ".count");
         break;
       }
     }
@@ -112,17 +101,13 @@ void WindowAggregator::build_columns(const MetricsRegistry& registry) {
 void WindowAggregator::begin() {
   build_columns(registry_);
 
-  const std::size_t slots =
-      std::size_t((window_ticks_ + stride_ticks_ - 1) / stride_ticks_);
-  open_.assign(slots, OpenWindow{});
-  counter_base_.assign(slots * counters_.size(), 0);
-  hist_base_.assign(slots * hist_slots_total_, 0);
-  hist_sum_base_.assign(slots * hists_.size(), 0.0);
+  counter_base_.assign(counters_.size(), 0);
+  hist_base_.assign(hist_slots_total_, 0);
+  hist_sum_base_.assign(hists_.size(), 0.0);
+  hist_delta_.assign(hist_slots_total_, 0);
 
   meta_.assign(frame_capacity_, FrameView{});
   values_.assign(frame_capacity_ * columns_.size(), 0.0);
-  hist_delta_.assign(frame_capacity_ * hist_slots_total_, 0);
-  hist_sum_delta_.assign(frame_capacity_ * hists_.size(), 0.0);
 
   begun_ = true;
   finished_ = false;
@@ -131,35 +116,24 @@ void WindowAggregator::begin() {
   windows_closed_ = 0;
   dropped_frames_ = 0;
 
-  open_window(open_[0], 0);
-  next_open_start_ = stride_ticks_;
+  open_window();
 }
 
-void WindowAggregator::open_window(OpenWindow& slot, std::int64_t start_n) {
-  slot.active = true;
-  slot.start_n = start_n;
-  slot.start_tick = 0;
-  slot.start_labeled = false;
-  snapshot_baseline(std::size_t(&slot - open_.data()));
-}
-
-void WindowAggregator::snapshot_baseline(std::size_t slot) {
-  std::uint64_t* cbase = counter_base_.data() + slot * counters_.size();
+void WindowAggregator::open_window() {
+  open_start_n_ = ticks_seen_;
   for (std::size_t c = 0; c < counters_.size(); ++c) {
-    cbase[c] = counters_[c]->value();
+    counter_base_[c] = counters_[c]->value();
   }
-  std::uint64_t* hbase = hist_base_.data() + slot * hist_slots_total_;
-  double* sbase = hist_sum_base_.data() + slot * hists_.size();
   for (std::size_t h = 0; h < hists_.size(); ++h) {
     const HistShape& shape = hists_[h];
-    std::uint64_t* block = hbase + shape.offset;
+    std::uint64_t* block = hist_base_.data() + shape.offset;
     for (std::size_t b = 0; b < shape.buckets; ++b) {
       block[b] = shape.hist->bucket(b);
     }
     block[shape.buckets] = shape.hist->underflow();
     block[shape.buckets + 1] = shape.hist->overflow();
     block[shape.buckets + 2] = shape.hist->nan_count();
-    sbase[h] = shape.hist->sum();
+    hist_sum_base_[h] = shape.hist->sum();
   }
 }
 
@@ -170,67 +144,29 @@ void WindowAggregator::on_tick(sim::Tick now) {
   if (finished_) {
     throw std::logic_error("WindowAggregator::on_tick after finish()");
   }
-  const std::int64_t n = ticks_seen_;
+  if (ticks_seen_ == open_start_n_) open_start_tick_ = now;
   last_tick_ = now;
-
-  for (OpenWindow& slot : open_) {
-    if (slot.active && !slot.start_labeled && slot.start_n == n) {
-      slot.start_tick = now;
-      slot.start_labeled = true;
-    }
-  }
-  for (std::size_t i = 0; i < open_.size(); ++i) {
-    OpenWindow& slot = open_[i];
-    if (slot.active && slot.start_n + window_ticks_ == n + 1) {
-      close_window(i, now, /*partial=*/false);
-    }
-  }
-  ticks_seen_ = n + 1;
-  while (next_open_start_ == ticks_seen_) {
-    std::size_t free_slot = open_.size();
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      if (!open_[i].active) {
-        free_slot = i;
-        break;
-      }
-    }
-    if (free_slot == open_.size()) {
-      throw std::logic_error("WindowAggregator: no free open-window slot");
-    }
-    open_window(open_[free_slot], next_open_start_);
-    next_open_start_ += stride_ticks_;
+  ++ticks_seen_;
+  if (ticks_seen_ - open_start_n_ == window_ticks_) {
+    close_window(now, /*partial=*/false);
+    open_window();
   }
 }
 
 void WindowAggregator::finish() {
   if (!begun_ || finished_) return;
-  // Close partial windows in start order so frame ordinals stay sorted.
-  for (;;) {
-    std::size_t oldest = open_.size();
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      if (open_[i].active && open_[i].start_n < ticks_seen_ &&
-          (oldest == open_.size() ||
-           open_[i].start_n < open_[oldest].start_n)) {
-        oldest = i;
-      }
-    }
-    if (oldest == open_.size()) break;
-    close_window(oldest, last_tick_, /*partial=*/true);
-  }
-  for (OpenWindow& slot : open_) slot.active = false;
+  if (ticks_seen_ > open_start_n_) close_window(last_tick_, /*partial=*/true);
   finished_ = true;
 }
 
-void WindowAggregator::close_window(std::size_t slot_index, sim::Tick end_tick,
-                                    bool partial) {
-  OpenWindow& slot = open_[slot_index];
-  const std::int64_t covered = ticks_seen_ - slot.start_n + (partial ? 0 : 1);
+void WindowAggregator::close_window(sim::Tick end_tick, bool partial) {
+  const std::int64_t covered = ticks_seen_ - open_start_n_;
   const std::size_t ring = std::size_t(windows_closed_ % frame_capacity_);
   if (windows_closed_ >= frame_capacity_) ++dropped_frames_;
 
   FrameView& meta = meta_[ring];
   meta.index = windows_closed_;
-  meta.start_tick = slot.start_tick;
+  meta.start_tick = open_start_tick_;
   meta.end_tick = end_tick;
   meta.ticks = covered;
   meta.partial = partial;
@@ -241,55 +177,29 @@ void WindowAggregator::close_window(std::size_t slot_index, sim::Tick end_tick,
   values[2] = double(meta.ticks);
 
   const double ticks = double(covered);
-  const std::uint64_t* cbase =
-      counter_base_.data() + slot_index * counters_.size();
   for (std::size_t c = 0; c < counters_.size(); ++c) {
-    const std::uint64_t delta = clamped_delta(counters_[c]->value(), cbase[c]);
+    const std::uint64_t delta =
+        clamped_delta(counters_[c]->value(), counter_base_[c]);
     values[counter_cols_[c]] = double(delta) / ticks;
   }
   for (std::size_t g = 0; g < gauges_.size(); ++g) {
     values[gauge_cols_[g]] = gauges_[g]->value();
   }
 
-  const std::uint64_t* hbase =
-      hist_base_.data() + slot_index * hist_slots_total_;
-  const double* sbase = hist_sum_base_.data() + slot_index * hists_.size();
-  std::uint64_t* hdelta = hist_delta_.data() + ring * hist_slots_total_;
-  double* sdelta = hist_sum_delta_.data() + ring * hists_.size();
   for (std::size_t h = 0; h < hists_.size(); ++h) {
     const HistShape& shape = hists_[h];
-    const std::uint64_t* base = hbase + shape.offset;
-    std::uint64_t* delta = hdelta + shape.offset;
+    const std::uint64_t* base = hist_base_.data() + shape.offset;
+    std::uint64_t* delta = hist_delta_.data() + shape.offset;
     for (std::size_t b = 0; b < shape.buckets; ++b) {
       delta[b] = clamped_delta(shape.hist->bucket(b), base[b]);
     }
-    delta[shape.buckets] =
+    const std::uint64_t under =
         clamped_delta(shape.hist->underflow(), base[shape.buckets]);
-    delta[shape.buckets + 1] =
+    const std::uint64_t over =
         clamped_delta(shape.hist->overflow(), base[shape.buckets + 1]);
-    delta[shape.buckets + 2] =
+    const std::uint64_t nan =
         clamped_delta(shape.hist->nan_count(), base[shape.buckets + 2]);
-    sdelta[h] = shape.hist->sum() - sbase[h];
-  }
-  recompute_hist_columns(ring);
-
-  slot.active = false;
-  ++windows_closed_;
-  if (listener_ != nullptr) {
-    listener_->on_window(*this, frames() - 1);
-  }
-}
-
-void WindowAggregator::recompute_hist_columns(std::size_t ring) {
-  double* values = frame_values(ring);
-  const std::uint64_t* hdelta = hist_delta_.data() + ring * hist_slots_total_;
-  const double* sdelta = hist_sum_delta_.data() + ring * hists_.size();
-  for (std::size_t h = 0; h < hists_.size(); ++h) {
-    const HistShape& shape = hists_[h];
-    const std::uint64_t* delta = hdelta + shape.offset;
-    const std::uint64_t under = delta[shape.buckets];
-    const std::uint64_t over = delta[shape.buckets + 1];
-    const std::uint64_t nan = delta[shape.buckets + 2];
+    const double sum = shape.hist->sum() - hist_sum_base_[h];
     std::uint64_t finite = under + over;
     for (std::size_t b = 0; b < shape.buckets; ++b) finite += delta[b];
     const std::size_t col = hist_cols_[h];
@@ -302,15 +212,20 @@ void WindowAggregator::recompute_hist_columns(std::size_t ring) {
     values[col + 2] = percentile_from_deltas(delta, shape.buckets, under, over,
                                              shape.lo, shape.width, shape.hi,
                                              0.99);
-    values[col + 3] = finite ? sdelta[h] / double(finite) : 0.0;
+    values[col + 3] = finite ? sum / double(finite) : 0.0;
     values[col + 4] = double(finite + nan);
+  }
+
+  ++windows_closed_;
+  if (listener_ != nullptr) {
+    listener_->on_window(*this, frames() - 1);
   }
 }
 
 std::size_t WindowAggregator::column_index(
     const std::string& name) const noexcept {
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return i;
+    if (columns_[i] == name) return i;
   }
   return npos;
 }
@@ -347,64 +262,12 @@ double WindowAggregator::value(std::size_t frame,
   return value(frame, index);
 }
 
-void WindowAggregator::merge_from(const WindowAggregator& other) {
-  if (window_ticks_ != other.window_ticks_ ||
-      stride_ticks_ != other.stride_ticks_ ||
-      frame_capacity_ != other.frame_capacity_ ||
-      windows_closed_ != other.windows_closed_ ||
-      columns_.size() != other.columns_.size() ||
-      hist_slots_total_ != other.hist_slots_total_) {
-    throw std::invalid_argument("WindowAggregator::merge_from: geometry");
-  }
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name != other.columns_[i].name) {
-      throw std::invalid_argument("WindowAggregator::merge_from: columns");
-    }
-  }
-  for (std::size_t h = 0; h < hists_.size(); ++h) {
-    if (hists_[h].lo != other.hists_[h].lo ||
-        hists_[h].hi != other.hists_[h].hi ||
-        hists_[h].buckets != other.hists_[h].buckets) {
-      throw std::invalid_argument(
-          "WindowAggregator::merge_from: histogram shape");
-    }
-  }
-  for (std::size_t f = 0; f < frames(); ++f) {
-    const std::size_t ring = ring_of(f);
-    const std::size_t oring = other.ring_of(f);
-    const FrameView& mine = meta_[ring];
-    const FrameView& theirs = other.meta_[oring];
-    if (mine.index != theirs.index || mine.start_tick != theirs.start_tick ||
-        mine.end_tick != theirs.end_tick || mine.ticks != theirs.ticks ||
-        mine.partial != theirs.partial) {
-      throw std::invalid_argument("WindowAggregator::merge_from: frames");
-    }
-    double* values = frame_values(ring);
-    const double* ovalues = other.frame_values(oring);
-    for (std::size_t col = 0; col < columns_.size(); ++col) {
-      if (columns_[col].kind == ColKind::kRate ||
-          columns_[col].kind == ColKind::kLast) {
-        values[col] += ovalues[col];
-      }
-    }
-    std::uint64_t* hdelta = hist_delta_.data() + ring * hist_slots_total_;
-    const std::uint64_t* odelta =
-        other.hist_delta_.data() + oring * hist_slots_total_;
-    for (std::size_t s = 0; s < hist_slots_total_; ++s) hdelta[s] += odelta[s];
-    double* sdelta = hist_sum_delta_.data() + ring * hists_.size();
-    const double* osdelta = other.hist_sum_delta_.data() + oring * hists_.size();
-    for (std::size_t h = 0; h < hists_.size(); ++h) sdelta[h] += osdelta[h];
-    recompute_hist_columns(ring);
-  }
-  dropped_frames_ += other.dropped_frames_;
-}
-
 std::string WindowAggregator::to_json() const {
   std::string out;
   out.reserve(256 + frames() * columns_.size() * 12);
   out += "{\"schema\":\"mobicache.windows.v1\"";
   out += ",\"window_ticks\":" + std::to_string(window_ticks_);
-  out += ",\"stride_ticks\":" + std::to_string(stride_ticks_);
+  out += ",\"stride_ticks\":" + std::to_string(window_ticks_);
   out += ",\"windows_closed\":" + std::to_string(windows_closed_);
   out += ",\"dropped_frames\":" + std::to_string(dropped_frames_);
   out += ",\"windows\":[";
@@ -416,7 +279,7 @@ std::string WindowAggregator::to_json() const {
   for (std::size_t col = 0; col < columns_.size(); ++col) {
     if (col) out += ',';
     out += '"';
-    out += json::escape(columns_[col].name);
+    out += json::escape(columns_[col]);
     out += "\":[";
     for (std::size_t f = 0; f < frames(); ++f) {
       if (f) out += ',';
@@ -425,35 +288,6 @@ std::string WindowAggregator::to_json() const {
     out += ']';
   }
   out += "}}";
-  return out;
-}
-
-std::string WindowAggregator::to_jsonl() const {
-  std::string out;
-  out += "{\"schema\":\"mobicache.windows.v1\",\"streamed\":true";
-  out += ",\"window_ticks\":" + std::to_string(window_ticks_);
-  out += ",\"stride_ticks\":" + std::to_string(stride_ticks_);
-  out += "}\n";
-  for (std::size_t f = 0; f < frames(); ++f) {
-    const std::size_t ring = ring_of(f);
-    const FrameView& meta = meta_[ring];
-    out += "{\"w\":" + std::to_string(meta.index);
-    out += ",\"start\":" + std::to_string(meta.start_tick);
-    out += ",\"end\":" + std::to_string(meta.end_tick);
-    out += ",\"ticks\":" + std::to_string(meta.ticks);
-    out += ",\"partial\":";
-    out += meta.partial ? '1' : '0';
-    out += ",\"series\":{";
-    const double* values = frame_values(ring);
-    for (std::size_t col = 0; col < columns_.size(); ++col) {
-      if (col) out += ',';
-      out += '"';
-      out += json::escape(columns_[col].name);
-      out += "\":";
-      out += json::number(values[col]);
-    }
-    out += "}}\n";
-  }
   return out;
 }
 

@@ -1,26 +1,23 @@
-// Online sim-time window aggregation over a MetricsRegistry: tumbling or
-// sliding windows whose frames materialize *during* the run (counter
-// deltas -> per-tick rates, histogram bucket diffs -> per-window
-// p50/p90/p99/mean, gauges -> last value), so controllers and SLO
-// monitors can react to the last W ticks instead of parsing a cumulative
-// dump after the fact.
+// Online sim-time window aggregation over a MetricsRegistry: tumbling
+// windows whose frames materialize *during* the run (counter deltas ->
+// per-tick rates, histogram bucket diffs -> per-window p50/p90/p99/mean,
+// gauges -> last value), so controllers and SLO monitors can react to the
+// last W ticks instead of parsing a cumulative dump after the fact.
 //
 // Contracts, same as the rest of the obs layer:
 //   - Observation is read-only: the aggregator only *reads* the registry,
 //     never feeds back into simulation state.
-//   - Zero steady-state allocations: begin() preallocates the open-window
-//     baseline slots and the frame ring; on_tick()/finish() touch only
-//     that storage. Exports (to_json/to_jsonl) are post-run and may
-//     allocate freely.
+//   - Zero steady-state allocations: begin() preallocates the open
+//     window's baseline and the frame ring; on_tick()/finish() touch only
+//     that storage. to_json() is post-run and may allocate freely.
 //   - Pool-size independence: windows are keyed on sim ticks (the caller
 //     invokes on_tick once per completed tick), so a sharded run produces
 //     bit-identical frames for any pool size, exactly like SeriesRecorder.
 //
-// Windows are half-open in tick *count*: with window_ticks=W and
-// stride_ticks=S, window k covers the ticks delivered by on_tick calls
-// [k*S, k*S+W). stride == window (the default, stride_ticks=0) gives
-// tumbling windows; stride < window gives overlapping sliding windows
-// (at most ceil(W/S) open at once, all preallocated).
+// Windows are half-open in tick *count*: with window_ticks=W, window k
+// covers the ticks delivered by on_tick calls [k*W, (k+1)*W). One window
+// is open at a time; it closes after its W-th tick and the next one opens
+// from the same registry values.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +29,7 @@
 
 namespace mobi::obs {
 
-/// Tumbling/sliding window aggregator. Construct, begin() once every
+/// Tumbling window aggregator. Construct, begin() once every
 /// metric the run will touch is registered (registration order is the
 /// column order via MetricsRegistry::names()), then on_tick() once per
 /// completed tick and finish() at end of run.
@@ -40,9 +37,6 @@ class WindowAggregator {
  public:
   struct Config {
     sim::Tick window_ticks = 50;
-    /// 0 means tumbling (stride == window_ticks). Must divide nothing —
-    /// any 1 <= stride <= window_ticks works.
-    sim::Tick stride_ticks = 0;
     /// Closed frames retained in the ring; older frames are overwritten
     /// (counted in dropped_frames()) once the ring wraps.
     std::size_t frame_capacity = 256;
@@ -73,7 +67,7 @@ class WindowAggregator {
 
   void set_listener(Listener* listener) noexcept { listener_ = listener; }
 
-  /// Snapshots the column set and every baseline, resets all frames.
+  /// Snapshots the column set and the baseline, resets all frames.
   /// Call after the last metric registration and before the first
   /// on_tick; calling again restarts aggregation from fresh baselines
   /// (the counter-reset story: deltas never go negative, they restart).
@@ -83,14 +77,14 @@ class WindowAggregator {
   /// counts on_tick calls, so gaps in tick numbering cannot skew rates.
   void on_tick(sim::Tick now);
 
-  /// Closes every open window that covered at least one tick as a
-  /// partial frame. on_tick after finish throws; begin() re-arms.
+  /// Closes the open window as a partial frame if it covered at least
+  /// one tick. on_tick after finish throws; begin() re-arms.
   void finish();
 
   // --- column / frame accessors (valid after begin()).
   std::size_t column_count() const noexcept { return columns_.size(); }
   const std::string& column_name(std::size_t column) const {
-    return columns_.at(column).name;
+    return columns_.at(column);
   }
   /// Index of a column by full name, or npos when absent.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -105,65 +99,26 @@ class WindowAggregator {
   double value(std::size_t frame, const std::string& column) const;
 
   sim::Tick window_ticks() const noexcept { return window_ticks_; }
-  sim::Tick stride_ticks() const noexcept { return stride_ticks_; }
-
-  /// Folds another aggregator's frames into this one — the sharded-merge
-  /// path for per-shard `mc.*` aggregation. Both must have identical
-  /// geometry, column sets, and frame metadata (same windows over the
-  /// same ticks). Counter rates and gauge last-values add; histogram
-  /// bucket deltas add and the percentile/mean/count columns are
-  /// recomputed from the merged buckets, so merged percentiles are exact,
-  /// not averaged. Throws std::invalid_argument on any mismatch.
-  void merge_from(const WindowAggregator& other);
 
   /// `mobicache.windows.v1` document: {"schema","window_ticks",
-  /// "stride_ticks","windows_closed","dropped_frames","windows":[ordinal
-  /// per retained frame],"series":{column:[value per frame]}}.
+  /// "stride_ticks" (always window_ticks: windows tumble),
+  /// "windows_closed","dropped_frames","windows":[ordinal per retained
+  /// frame],"series":{column:[value per frame]}}.
   std::string to_json() const;
-  /// Streamed framing of the same schema: a header line with the
-  /// geometry, then one object per retained frame
-  /// {"w":ordinal,"start":t0,"end":t1,"ticks":n,"partial":0|1,
-  ///  "series":{...}}.
-  std::string to_jsonl() const;
 
  private:
-  enum class ColKind : std::uint8_t {
-    kStartTick,
-    kEndTick,
-    kTicks,
-    kRate,   // counter delta / ticks
-    kLast,   // gauge value at close
-    kP50,
-    kP90,
-    kP99,
-    kMean,   // histogram sum delta / finite-count delta
-    kCount,  // histogram total delta (includes NaN slot)
-  };
-  struct Column {
-    std::string name;
-    ColKind kind;
-    std::size_t source = 0;  // index into counters_/gauges_/hists_
-  };
   struct HistShape {
     const FixedHistogram* hist = nullptr;
     double lo = 0.0;
     double hi = 0.0;
     double width = 0.0;
     std::size_t buckets = 0;
-    std::size_t offset = 0;  // into a frame/slot hist-delta block
-  };
-  struct OpenWindow {
-    bool active = false;
-    std::int64_t start_n = 0;  // in on_tick-call counts
-    sim::Tick start_tick = 0;
-    bool start_labeled = false;
+    std::size_t offset = 0;  // into a hist baseline/delta block
   };
 
   void build_columns(const MetricsRegistry& registry);
-  void open_window(OpenWindow& slot, std::int64_t start_n);
-  void snapshot_baseline(std::size_t slot);
-  void close_window(std::size_t slot, sim::Tick end_tick, bool partial);
-  void recompute_hist_columns(std::size_t ring);
+  void open_window();
+  void close_window(sim::Tick end_tick, bool partial);
   double* frame_values(std::size_t ring) noexcept {
     return values_.data() + ring * columns_.size();
   }
@@ -177,7 +132,6 @@ class WindowAggregator {
   static constexpr std::size_t kHistExtra = 3;
 
   sim::Tick window_ticks_;
-  sim::Tick stride_ticks_;
   std::size_t frame_capacity_;
   const MetricsRegistry& registry_;
   Listener* listener_ = nullptr;
@@ -185,12 +139,15 @@ class WindowAggregator {
   bool begun_ = false;
   bool finished_ = false;
   std::int64_t ticks_seen_ = 0;
-  std::int64_t next_open_start_ = 0;
   sim::Tick last_tick_ = 0;
   std::uint64_t windows_closed_ = 0;
   std::uint64_t dropped_frames_ = 0;
 
-  std::vector<Column> columns_;
+  // Column names: window.start_tick/end_tick/ticks, then per metric in
+  // registry order .rate (counter: delta / ticks), .last (gauge value at
+  // close) or .p50/.p90/.p99/.mean/.count (histogram bucket deltas;
+  // mean excludes NaN, count includes it).
+  std::vector<std::string> columns_;
   std::vector<const Counter*> counters_;
   std::vector<std::size_t> counter_cols_;  // column of each counter's rate
   std::vector<const Gauge*> gauges_;
@@ -199,17 +156,18 @@ class WindowAggregator {
   std::vector<std::size_t> hist_cols_;  // first of each hist's 5 columns
   std::size_t hist_slots_total_ = 0;
 
-  // Open-window baseline storage, slot-major.
-  std::vector<OpenWindow> open_;
-  std::vector<std::uint64_t> counter_base_;  // open_ x counters_
-  std::vector<std::uint64_t> hist_base_;     // open_ x hist_slots_total_
-  std::vector<double> hist_sum_base_;        // open_ x hists_
+  // The open window: its first on_tick-call count, that call's tick
+  // label, and the registry's values when it opened.
+  std::int64_t open_start_n_ = 0;
+  sim::Tick open_start_tick_ = 0;
+  std::vector<std::uint64_t> counter_base_;  // per counter
+  std::vector<std::uint64_t> hist_base_;     // hist_slots_total_
+  std::vector<double> hist_sum_base_;        // per histogram
+  std::vector<std::uint64_t> hist_delta_;    // hist_slots_total_, scratch
 
   // Closed-frame ring, ring-slot-major.
   std::vector<FrameView> meta_;
-  std::vector<double> values_;            // capacity x columns
-  std::vector<std::uint64_t> hist_delta_;  // capacity x hist_slots_total_
-  std::vector<double> hist_sum_delta_;     // capacity x hists_
+  std::vector<double> values_;  // capacity x columns
 };
 
 }  // namespace mobi::obs

@@ -3,8 +3,7 @@
 // The paper's experiments use a synchronous tick model (requests arrive per
 // time unit, updates fire every k time units). This kernel supports
 // arbitrary event times; ties are broken by insertion order so runs are
-// fully deterministic. TickDriver (tick.hpp) layers the paper's
-// batch-per-tick semantics on top.
+// fully deterministic.
 #pragma once
 
 #include <cstdint>

@@ -1,40 +1,11 @@
-// TickDriver: the paper's synchronous tick model on top of the event
-// kernel. Each tick, registered phases run in a fixed priority order —
-// e.g. server updates happen before request service within the same tick,
-// exactly as the paper's analysis assumes ("objects are updated at time 0,
-// 5, 10, ..." and requests within a tick then see those updates).
+// The paper's synchronous time axis: simulation time in whole ticks.
+// Every driver runs its own per-tick loop over this type.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <vector>
-
-#include "sim/simulator.hpp"
 
 namespace mobi::sim {
 
 using Tick = std::int64_t;
-
-class TickDriver {
- public:
-  using Phase = std::function<void(Tick)>;
-
-  /// Registers a per-tick phase. Lower `priority` runs first; phases with
-  /// equal priority run in registration order.
-  void add_phase(int priority, Phase phase);
-
-  /// Runs ticks [0, ticks): every phase once per tick, in priority order.
-  void run(Tick ticks);
-
-  /// Runs `ticks` additional ticks, continuing from the last tick executed.
-  void run_more(Tick ticks);
-
-  Tick current() const noexcept { return next_tick_; }
-
- private:
-  std::multimap<int, Phase> phases_;
-  Tick next_tick_ = 0;
-};
 
 }  // namespace mobi::sim

@@ -26,6 +26,25 @@ TEST(Cooperative, Validation) {
   EXPECT_THROW(run_cooperative(config), std::invalid_argument);
   config.neighbor_recency_threshold = 1.5;
   EXPECT_THROW(run_cooperative(config), std::invalid_argument);
+  // Negative tick counts are rejected: run as given, they would measure
+  // nothing and report a perfect average score.
+  config = small_config();
+  config.warmup_ticks = 5;
+  config.measure_ticks = -2;
+  EXPECT_THROW(run_cooperative(config), std::invalid_argument);
+  EXPECT_THROW(CoopCluster cluster(config), std::invalid_argument);
+  EXPECT_THROW(detail::run_cooperative_reference(config, nullptr),
+               std::invalid_argument);
+  config = small_config();
+  config.warmup_ticks = -1;
+  EXPECT_THROW(run_cooperative(config), std::invalid_argument);
+  EXPECT_THROW(CoopCluster cluster(config), std::invalid_argument);
+  EXPECT_THROW(detail::run_cooperative_reference(config, nullptr),
+               std::invalid_argument);
+  // Zero ticks is a valid, empty run.
+  config.warmup_ticks = 0;
+  config.measure_ticks = 0;
+  EXPECT_EQ(run_cooperative(config).requests, 0u);
 }
 
 TEST(Cooperative, ModeNames) {

@@ -1,16 +1,15 @@
 // Request-lifecycle tracing suite: EventLog bounded-buffer semantics and
 // JSONL export, RequestTracer deterministic sampling + sim-time latency
-// histograms, the Prometheus text exporter (format pinned byte-for-byte),
-// and an end-to-end traced policy simulation under an active fault plan
-// whose event stream must satisfy the lifecycle invariants (every arrival
-// delivers, every fetch attempt resolves, histograms mirror the log).
+// histograms, and an end-to-end traced policy simulation under an active
+// fault plan whose event stream must satisfy the lifecycle invariants
+// (every arrival delivers, every fetch attempt resolves, histograms mirror
+// the log).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,7 +19,6 @@
 #include "exp/policy_sim.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/recorder.hpp"
 
 namespace mobi::obs {
@@ -433,93 +431,6 @@ TEST(RequestTracer, HistogramsMirrorTheLifecycleCallbacks) {
   tracer.on_fetch_done(4, 7);
   EXPECT_EQ(registry.find_histogram("lat.ticks_to_serve")->total(), 1u);
   EXPECT_EQ(tracer.log().count(EventKind::kFetchDone), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus text exporter.
-
-TEST(Prometheus, NameMapping) {
-  EXPECT_EQ(prometheus_name("bs.cache.hits"), "bs_cache_hits");
-  EXPECT_EQ(prometheus_name("lat.p99.9"), "lat_p99_9");
-  EXPECT_EQ(prometheus_name("already_fine:ok"), "already_fine:ok");
-  EXPECT_EQ(prometheus_name("9lives"), "_9lives");  // leading digit
-  EXPECT_EQ(prometheus_name(""), "_");
-}
-
-TEST(Prometheus, ExpositionFormatIsPinned) {
-  MetricsRegistry registry;
-  registry.register_counter("bs.fetches").add(7);
-  registry.register_gauge("score.avg").set(0.5);
-  FixedHistogram& h = registry.register_histogram("lat.wait", 0.0, 2.0, 2);
-  h.observe(-1.0);  // underflow, folded into every cumulative bucket
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(5.0);  // overflow, only in +Inf
-  h.observe(std::numeric_limits<double>::quiet_NaN());  // count, not sum
-
-  const std::string expected =
-      "# TYPE bs_fetches counter\n"
-      "bs_fetches 7\n"
-      "# TYPE lat_wait histogram\n"
-      "lat_wait_bucket{le=\"1\"} 2\n"
-      "lat_wait_bucket{le=\"2\"} 3\n"
-      "lat_wait_bucket{le=\"+Inf\"} 5\n"
-      "lat_wait_sum 6\n"
-      "lat_wait_count 5\n"
-      "# TYPE score_avg gauge\n"
-      "score_avg 0.5\n";
-  EXPECT_EQ(to_prometheus(registry), expected);
-}
-
-TEST(Prometheus, LabelAndHelpEscaping) {
-  // Label values live inside {name="..."}: backslash, quote and newline
-  // must all escape or the scrape line is corrupted.
-  EXPECT_EQ(prometheus_escape_label("plain"), "plain");
-  EXPECT_EQ(prometheus_escape_label("a\\b"), "a\\\\b");
-  EXPECT_EQ(prometheus_escape_label("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(prometheus_escape_label("two\nlines"), "two\\nlines");
-  EXPECT_EQ(prometheus_escape_label("\\\"\n"), "\\\\\\\"\\n");
-
-  // HELP text escapes backslash and newline only; quotes are legal there
-  // and pass through verbatim.
-  EXPECT_EQ(prometheus_escape_help("a\\b"), "a\\\\b");
-  EXPECT_EQ(prometheus_escape_help("say \"hi\""), "say \"hi\"");
-  EXPECT_EQ(prometheus_escape_help("two\nlines"), "two\\nlines");
-}
-
-TEST(Prometheus, HelpOverloadEmitsEscapedHelpBeforeType) {
-  MetricsRegistry registry;
-  registry.register_counter("bs.fetches").add(3);
-  registry.register_gauge("score.avg").set(1.5);
-
-  const std::map<std::string, std::string> help = {
-      {"bs.fetches", "remote \"origin\" fetches\nper C:\\cell"}};
-  const std::string expected =
-      "# HELP bs_fetches remote \"origin\" fetches\\nper C:\\\\cell\n"
-      "# TYPE bs_fetches counter\n"
-      "bs_fetches 3\n"
-      "# TYPE score_avg gauge\n"
-      "score_avg 1.5\n";
-  EXPECT_EQ(to_prometheus(registry, help), expected);
-  // An empty help map renders exactly as the plain overload.
-  EXPECT_EQ(to_prometheus(registry, {}), to_prometheus(registry));
-}
-
-TEST(Prometheus, NeverEmitsCreatedSeries) {
-  // OpenMetrics `_created` series carry wall-clock creation timestamps;
-  // this exporter must never synthesize them for counters or histograms
-  // — golden outputs stay wall-clock-free.
-  MetricsRegistry registry;
-  registry.register_counter("bs.fetches").add(1);
-  registry.register_gauge("score.avg").set(0.25);
-  registry.register_histogram("lat.wait", 0.0, 4.0, 4).observe(1.0);
-
-  const std::string text = to_prometheus(registry);
-  EXPECT_EQ(text.find("_created"), std::string::npos);
-  // The histogram still gets its full series family.
-  EXPECT_NE(text.find("lat_wait_bucket"), std::string::npos);
-  EXPECT_NE(text.find("lat_wait_sum"), std::string::npos);
-  EXPECT_NE(text.find("lat_wait_count"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

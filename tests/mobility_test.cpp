@@ -5,7 +5,7 @@
 //    tick), waypoint kinematics, dwell/residency bounds;
 //  * invariant fuzz over {random-waypoint, trace-driven} x policies x
 //    seeds: client conservation every tick, rosters in lockstep with the
-//    model, every crossing posted and delivered exactly once;
+//    model, every crossing migrated exactly once;
 //  * determinism: a mobility-on run is bit-identical (results, final
 //    residency, registry JSON) for serial and pools of 1/2/8;
 //  * differential: mobility off registers no mc.mobility.* metrics and
@@ -241,8 +241,7 @@ TEST(MobilityModel, ResidencyProbabilityStaysInUnitInterval) {
 // policies, 30+ seeds and serial or pooled steps: no client is ever lost
 // or duplicated, cell rosters track the model exactly (so no request is
 // ever served by a non-resident cell — requests only come from rosters),
-// and every boundary crossing becomes exactly one delivered handoff
-// record.
+// and every boundary crossing becomes exactly one migration.
 TEST(MobilityFleet, InvariantFuzzAcrossModesPoliciesAndSeeds) {
   const char* policies[] = {"on-demand-knapsack", "on-demand-lowest-recency"};
   util::ThreadPool two(2);
@@ -284,11 +283,8 @@ TEST(MobilityFleet, InvariantFuzzAcrossModesPoliciesAndSeeds) {
             }
           }
           ASSERT_EQ(rostered, total);
-          // Every crossing posted, delivered, and none left in flight.
-          ASSERT_EQ(fleet.bus().pending(), 0u);
-          ASSERT_EQ(fleet.bus().posted(), fleet.bus().delivered());
-          ASSERT_EQ(fleet.stats().crossings, fleet.bus().posted());
-          ASSERT_EQ(fleet.stats().migrations, fleet.bus().delivered());
+          // Every crossing migrated exactly once.
+          ASSERT_EQ(fleet.stats().migrations, fleet.stats().crossings);
         }
         ++combos;
       }
@@ -347,7 +343,7 @@ TEST(MobilityFleet, MobilityOnBitIdenticalAcrossPoolSizes) {
 // tick on a pool: the barrier queues both moves for the engines, which
 // apply them on their own threads. The client must end in C alone, with
 // one handoff window opened (the second begin_handoff of the tick finds
-// the window open and does not count again), both records delivered, and
+// the window open and does not count again), both moves migrated, and
 // every cell where the serial run has it.
 TEST(MobilityFleet, MultiHopTickMatchesSerialOnPools) {
   exp::MultiCellConfig config = mobile_config(9);
@@ -367,8 +363,7 @@ TEST(MobilityFleet, MultiHopTickMatchesSerialOnPools) {
     const std::uint64_t handoffs = fleet.mobile_client(0).handoff_count();
     fleet.step(pool);
     EXPECT_EQ(fleet.mobile_client(0).handoff_count(), handoffs + 1);
-    EXPECT_EQ(fleet.bus().posted(), 2u);
-    EXPECT_EQ(fleet.bus().delivered(), 2u);
+    EXPECT_EQ(fleet.stats().migrations, 2u);
     EXPECT_EQ(fleet.cell_of_client(0), 2u);
     for (std::size_t cell = 0; cell < fleet.cell_count(); ++cell) {
       const auto& roster = fleet.roster(cell);

@@ -292,6 +292,23 @@ TEST(MultiCell, RejectsNegativeTickCount) {
         << "expected an invalid_argument naming cell.ticks, got '" << message
         << "'";
   }
+  // Coop clusters run warmup + measure ticks; a negative count of either
+  // is rejected, since run as given it would measure nothing and report a
+  // perfect coop_aggregate score.
+  exp::MultiCellConfig coop = small_config();
+  coop.topology = exp::CellTopology::kCoopClusters;
+  coop.cluster.measure_ticks = -5;
+  exp::MultiCellConfig coop_warmup = small_config();
+  coop_warmup.topology = exp::CellTopology::kCoopClusters;
+  coop_warmup.cluster.warmup_ticks = -1;
+  for (const std::string& message :
+       {rejection(coop, {}), rejection(coop, {.recorder = &recorder}),
+        rejection(coop_warmup, {})}) {
+    EXPECT_NE(message.find("cluster.measure_ticks"), std::string::npos)
+        << "expected an invalid_argument naming the cluster tick counts, "
+           "got '"
+        << message << "'";
+  }
   EXPECT_EQ(registry.find_counter("mc.requests"), nullptr);
 
   bare.cell.ticks = 0;

@@ -1,6 +1,4 @@
 #include "sim/simulator.hpp"
-#include "sim/series.hpp"
-#include "sim/tick.hpp"
 
 #include <gtest/gtest.h>
 
@@ -103,67 +101,6 @@ TEST(Simulator, ExecutedCounter) {
   for (int i = 0; i < 7; ++i) sim.schedule_at(double(i), [] {});
   sim.run();
   EXPECT_EQ(sim.executed(), 7u);
-}
-
-TEST(TickDriver, PhasesRunInPriorityOrder) {
-  TickDriver driver;
-  std::vector<int> order;
-  driver.add_phase(10, [&](Tick) { order.push_back(10); });
-  driver.add_phase(1, [&](Tick) { order.push_back(1); });
-  driver.add_phase(5, [&](Tick) { order.push_back(5); });
-  driver.run(2);
-  EXPECT_EQ(order, (std::vector<int>{1, 5, 10, 1, 5, 10}));
-}
-
-TEST(TickDriver, PassesTickNumbers) {
-  TickDriver driver;
-  std::vector<Tick> ticks;
-  driver.add_phase(0, [&](Tick t) { ticks.push_back(t); });
-  driver.run(3);
-  EXPECT_EQ(ticks, (std::vector<Tick>{0, 1, 2}));
-  driver.run_more(2);
-  EXPECT_EQ(ticks.back(), 4);
-}
-
-TEST(TickDriver, EqualPriorityKeepsRegistrationOrder) {
-  TickDriver driver;
-  std::vector<int> order;
-  driver.add_phase(0, [&](Tick) { order.push_back(1); });
-  driver.add_phase(0, [&](Tick) { order.push_back(2); });
-  driver.run(1);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(TickDriver, RejectsEmptyPhaseAndNegativeCount) {
-  TickDriver driver;
-  EXPECT_THROW(driver.add_phase(0, nullptr), std::invalid_argument);
-  EXPECT_THROW(driver.run_more(-1), std::invalid_argument);
-}
-
-TEST(Series, RecordsAndSummarizes) {
-  Series s("metric");
-  s.record(0.0, 1.0);
-  s.record(1.0, 2.0);
-  s.record(2.0, 3.0);
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_DOUBLE_EQ(s.summary().mean(), 2.0);
-  EXPECT_EQ(s.name(), "metric");
-}
-
-TEST(Series, WindowedSummaryExcludesOutside) {
-  Series s("m");
-  for (int t = 0; t < 10; ++t) s.record(double(t), double(t));
-  const auto window = s.summary_window(3.0, 6.0);  // t = 3, 4, 5
-  EXPECT_EQ(window.count(), 3u);
-  EXPECT_DOUBLE_EQ(window.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.sum_window(3.0, 6.0), 12.0);
-}
-
-TEST(Series, RejectsBackwardsTime) {
-  Series s("m");
-  s.record(5.0, 1.0);
-  EXPECT_THROW(s.record(4.0, 1.0), std::logic_error);
-  s.record(5.0, 2.0);  // equal time is fine
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // WindowAggregator suite: tumbling frame geometry (including the partial
-// final window), counter-reset semantics of re-begin(), sliding-window
-// overlap, ring overflow accounting, exact percentile recomputation in
-// merge_from, and — the scale-out contract — sharded multi-cell windowed
-// aggregation producing bit-identical frames for pool sizes 1/2/8.
+// final window) and the export header, per-window histogram deltas,
+// counter-reset semantics of re-begin(), ring overflow accounting, and —
+// the scale-out contract — sharded multi-cell windowed aggregation
+// producing bit-identical frames for pool sizes 1/2/8.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -71,6 +71,14 @@ TEST(WindowAggregator, TumblingFramesWithPartialFinalWindow) {
   // Gauge columns are last-value-at-close.
   EXPECT_EQ(agg.value(0, "level.last"), 0.5 * 4.0);
   EXPECT_EQ(agg.value(2, "level.last"), 0.5 * 11.0);
+
+  // The export header keeps the mobicache.windows.v1 geometry fields;
+  // windows tumble, so stride_ticks always equals window_ticks.
+  const std::string header =
+      "{\"schema\":\"mobicache.windows.v1\",\"window_ticks\":5,"
+      "\"stride_ticks\":5,\"windows_closed\":3,\"dropped_frames\":0,"
+      "\"windows\":[0,1,2]";
+  EXPECT_EQ(agg.to_json().substr(0, header.size()), header);
 }
 
 TEST(WindowAggregator, HistogramColumnsUseWindowDeltasOnly) {
@@ -124,35 +132,6 @@ TEST(WindowAggregator, ReBeginRestartsFromFreshBaselines) {
   EXPECT_EQ(agg.value(0, "req.rate"), 2.0);
 }
 
-TEST(WindowAggregator, SlidingWindowsOverlap) {
-  MetricsRegistry registry;
-  Counter& requests = registry.register_counter("req");
-
-  WindowAggregator::Config config;
-  config.window_ticks = 4;
-  config.stride_ticks = 2;
-  WindowAggregator agg(registry, config);
-  agg.begin();
-  for (int t = 0; t < 8; ++t) {
-    requests.add(1);
-    agg.on_tick(sim::Tick(t));
-  }
-  agg.finish();
-
-  // Starts at n = 0, 2, 4, 6: three full windows and a 2-tick partial.
-  ASSERT_EQ(agg.frames(), 4u);
-  const sim::Tick expect_start[] = {0, 2, 4, 6};
-  const sim::Tick expect_end[] = {3, 5, 7, 7};
-  for (std::size_t f = 0; f < 4; ++f) {
-    const WindowAggregator::FrameView view = agg.frame(f);
-    EXPECT_EQ(view.start_tick, expect_start[f]) << "frame " << f;
-    EXPECT_EQ(view.end_tick, expect_end[f]) << "frame " << f;
-    EXPECT_EQ(view.partial, f == 3) << "frame " << f;
-    // Overlapping windows each see their own baseline: 1 req/tick.
-    EXPECT_EQ(agg.value(f, "req.rate"), 1.0) << "frame " << f;
-  }
-}
-
 TEST(WindowAggregator, RingOverflowDropsOldestFrames) {
   MetricsRegistry registry;
   registry.register_counter("req");
@@ -167,78 +146,6 @@ TEST(WindowAggregator, RingOverflowDropsOldestFrames) {
   // The newest frames are retained; frame(0) is the oldest survivor.
   EXPECT_EQ(agg.frame(0).index, 3u);
   EXPECT_EQ(agg.frame(1).index, 4u);
-}
-
-TEST(WindowAggregator, MergeRecomputesPercentilesFromSummedBuckets) {
-  // Shards A and B observe disjoint sample sets; a merged aggregator
-  // must report byte-identical histogram columns to an aggregator that
-  // observed the union directly — exact, not averaged percentiles.
-  MetricsRegistry reg_a;
-  MetricsRegistry reg_b;
-  MetricsRegistry reg_union;
-  FixedHistogram& hist_a = reg_a.register_histogram("h", 0.0, 10.0, 10);
-  FixedHistogram& hist_b = reg_b.register_histogram("h", 0.0, 10.0, 10);
-  FixedHistogram& hist_u = reg_union.register_histogram("h", 0.0, 10.0, 10);
-  Counter& count_a = reg_a.register_counter("c");
-  Counter& count_b = reg_b.register_counter("c");
-  Counter& count_u = reg_union.register_counter("c");
-
-  WindowAggregator agg_a(reg_a, tumbling(3));
-  WindowAggregator agg_b(reg_b, tumbling(3));
-  WindowAggregator agg_u(reg_union, tumbling(3));
-  agg_a.begin();
-  agg_b.begin();
-  agg_u.begin();
-
-  const double samples_a[] = {1.25, 9.5};
-  const double samples_b[] = {2.0, 3.75, 5.5};
-  for (const double x : samples_a) {
-    hist_a.observe(x);
-    hist_u.observe(x);
-  }
-  for (const double x : samples_b) {
-    hist_b.observe(x);
-    hist_u.observe(x);
-  }
-  count_a.add(6);
-  count_b.add(9);
-  count_u.add(15);
-  for (int t = 0; t < 3; ++t) {
-    agg_a.on_tick(sim::Tick(t));
-    agg_b.on_tick(sim::Tick(t));
-    agg_u.on_tick(sim::Tick(t));
-  }
-
-  agg_a.merge_from(agg_b);
-  ASSERT_EQ(agg_a.frames(), 1u);
-  for (const char* column : {"h.p50", "h.p90", "h.p99", "h.mean", "h.count",
-                             "c.rate"}) {
-    EXPECT_EQ(agg_a.value(0, column), agg_u.value(0, column)) << column;
-  }
-  EXPECT_EQ(agg_a.value(0, "h.count"), 5.0);
-  EXPECT_EQ(agg_a.value(0, "c.rate"), 5.0);
-  // And the merged export matches the union run byte for byte.
-  EXPECT_EQ(agg_a.to_json(), agg_u.to_json());
-}
-
-TEST(WindowAggregator, MergeRejectsMismatchedGeometry) {
-  MetricsRegistry reg_a;
-  MetricsRegistry reg_b;
-  reg_a.register_counter("c");
-  reg_b.register_counter("c");
-
-  WindowAggregator agg_a(reg_a, tumbling(3));
-  WindowAggregator agg_b(reg_b, tumbling(4));
-  agg_a.begin();
-  agg_b.begin();
-  EXPECT_THROW(agg_a.merge_from(agg_b), std::invalid_argument);
-
-  // Same geometry, different column sets.
-  MetricsRegistry reg_c;
-  reg_c.register_counter("other");
-  WindowAggregator agg_c(reg_c, tumbling(3));
-  agg_c.begin();
-  EXPECT_THROW(agg_a.merge_from(agg_c), std::invalid_argument);
 }
 
 TEST(WindowAggregator, LifecycleGuardsAndColumnLookup) {
