@@ -12,14 +12,7 @@ Cache::Cache(std::size_t object_count,
   if (!decay_) throw std::invalid_argument("Cache: null decay model");
 }
 
-void Cache::check(object::ObjectId id) const {
-  if (id >= entries_.size()) throw std::out_of_range("Cache: bad object id");
-}
-
-bool Cache::contains(object::ObjectId id) const {
-  check(id);
-  return entries_[id].has_value();
-}
+void Cache::reject_id() { throw std::out_of_range("Cache: bad object id"); }
 
 void Cache::refresh(object::ObjectId id, const server::FetchResult& fetch,
                     sim::Tick now, double recency) {
@@ -57,10 +50,6 @@ std::optional<double> Cache::recency(object::ObjectId id) const {
   const auto& slot = entries_[id];
   if (!slot) return std::nullopt;
   return slot->recency;
-}
-
-double Cache::recency_or_zero(object::ObjectId id) const {
-  return recency(id).value_or(0.0);
 }
 
 std::optional<server::Version> Cache::version(object::ObjectId id) const {

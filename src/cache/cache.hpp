@@ -48,7 +48,10 @@ class Cache {
   Cache(std::size_t object_count, std::shared_ptr<const DecayModel> decay);
 
   std::size_t object_count() const noexcept { return entries_.size(); }
-  bool contains(object::ObjectId id) const;
+  bool contains(object::ObjectId id) const {
+    check(id);
+    return entries_[id].has_value();
+  }
 
   /// Installs a copy: version from the fetch, recency reset to `recency`
   /// (1.0 for a copy straight from the master; lower when the installed
@@ -63,7 +66,11 @@ class Cache {
   /// Recency score of the cached copy; nullopt if not cached.
   std::optional<double> recency(object::ObjectId id) const;
   /// Recency treating "not cached" as 0 (useful for profit computations).
-  double recency_or_zero(object::ObjectId id) const;
+  double recency_or_zero(object::ObjectId id) const {
+    check(id);
+    const auto& slot = entries_[id];
+    return slot ? slot->recency : 0.0;
+  }
 
   /// Cached version; nullopt if not cached.
   std::optional<server::Version> version(object::ObjectId id) const;
@@ -93,7 +100,12 @@ class Cache {
                    const std::string& prefix = "cache");
 
  private:
-  void check(object::ObjectId id) const;
+  // Inline with the accessors the tick calls per request; only the throw
+  // (std::out_of_range) is out of line.
+  void check(object::ObjectId id) const {
+    if (id >= entries_.size()) [[unlikely]] reject_id();
+  }
+  [[noreturn]] static void reject_id();
 
   struct Instruments {
     obs::Counter* hits = nullptr;

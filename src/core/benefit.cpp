@@ -1,6 +1,6 @@
 #include "core/benefit.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <map>
 #include <stdexcept>
 
@@ -32,22 +32,24 @@ const CandidateSet& CandidateBuilder::build(const workload::RequestBatch& batch,
   set_.candidates.clear();
   set_.total_requests = batch.size();
   set_.baseline_score_sum = 0.0;
-  if (stamp_.size() < catalog.size()) {
-    stamp_.resize(catalog.size(), 0);
-    slot_.resize(catalog.size());
-  }
-  ++epoch_;
+  const std::size_t objects = catalog.size();
+  // Zeroed per build, so bits a throwing build set never reach the next.
+  touched_.assign((objects + 63) / 64, 0);
+  if (slot_.size() < objects) slot_.resize(objects);
   for (const workload::Request& request : batch) {
-    const double x = cache.recency_or_zero(request.object);
-    const double cached_score = scorer.score(x, request.target_recency);
     const object::ObjectId id = request.object;
-    if (id >= stamp_.size()) {
+    if (id >= objects) {
       catalog.object_size(id);  // out-of-catalog id: throw as the map did
     }
-    if (stamp_[id] != epoch_) {
-      stamp_[id] = epoch_;
+    touched_[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+  // Set bits in ascending id order give the reference map's iteration
+  // order without a sort.
+  for (std::size_t word = 0; word < touched_.size(); ++word) {
+    for (std::uint64_t bits = touched_[word]; bits != 0; bits &= bits - 1) {
+      const auto id = object::ObjectId(word * 64 + std::countr_zero(bits));
       slot_[id] = std::uint32_t(set_.candidates.size());
-      DownloadCandidate fresh;
+      DownloadCandidate& fresh = set_.candidates.emplace_back();
       fresh.object = id;
       fresh.size = catalog.object_size(id);
       if (peers) {
@@ -55,15 +57,18 @@ const CandidateSet& CandidateBuilder::build(const workload::RequestBatch& batch,
         // only when it strictly beats the own cached recency, so
         // tier_profit stays >= 0 (the scorer is monotone in recency).
         const PeerCopy pc = peers->lookup(id, now);
-        if (pc.valid && pc.recency > x) {
+        if (pc.valid && pc.recency > cache.recency_or_zero(id)) {
           fresh.tier = SourceTier::kPeer;
           fresh.peer_recency = pc.recency;
           fresh.peer_size = peer_cost(fresh.size, pc.cost_factor);
         }
       }
-      set_.candidates.push_back(fresh);
     }
-    DownloadCandidate& cand = set_.candidates[slot_[id]];
+  }
+  for (const workload::Request& request : batch) {
+    const double cached_score = scorer.score(
+        cache.recency_or_zero(request.object), request.target_recency);
+    DownloadCandidate& cand = set_.candidates[slot_[request.object]];
     ++cand.requests;
     cand.cached_score_sum += cached_score;
     if (residency == nullptr) {
@@ -92,13 +97,6 @@ const CandidateSet& CandidateBuilder::build(const workload::RequestBatch& batch,
     }
     set_.baseline_score_sum += cached_score;
   }
-  // First-encounter order -> id order, matching the reference map's
-  // iteration. Ids are distinct, so the sort result is unique and std::sort
-  // (in-place, allocation-free) is safe.
-  std::sort(set_.candidates.begin(), set_.candidates.end(),
-            [](const DownloadCandidate& a, const DownloadCandidate& b) {
-              return a.object < b.object;
-            });
   return set_;
 }
 

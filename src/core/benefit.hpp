@@ -83,12 +83,20 @@ CandidateSet build_candidates_reference(const workload::RequestBatch& batch,
                                         const cache::Cache& cache,
                                         const RecencyScorer& scorer);
 
-/// Reusable aggregation state for build_candidates: an epoch-stamped dense
-/// slot array over the catalog turns the per-batch map into O(R + D) with
-/// zero allocations once the buffers reach their high-water size. Output
-/// is bit-identical to build_candidates_reference (per-object doubles
-/// accumulate in the same batch order; candidates are emitted in id
-/// order). One builder per policy — the returned set aliases internal
+/// Reusable aggregation state for build_candidates. A touched-id bitmap
+/// over the catalog (one bit per object, zeroed at the top of every build)
+/// turns the per-batch map into two passes over the batch and one scan of
+/// the bitmap, with zero allocations once the buffers reach their
+/// high-water size:
+///   1. mark each request's id (an out-of-catalog id throws here);
+///   2. scan the set bits in ascending id order, emitting one candidate per
+///      distinct object and recording its index in a dense slot array —
+///      this is the reference map's iteration order, with no sort;
+///   3. accumulate every request, in batch order, into its candidate.
+/// Output is bit-identical to build_candidates_reference: per-object
+/// doubles add the same terms in the same order. A build that throws
+/// part-way leaves nothing behind, since the next build re-zeroes the
+/// bitmap. One builder per policy — the returned set aliases internal
 /// storage and is valid until the next build() call.
 class CandidateBuilder {
  public:
@@ -102,7 +110,9 @@ class CandidateBuilder {
                             const RecencyScorer& scorer);
 
   /// Peer-aware build: additionally consults `peers` (may be nullptr —
-  /// then this is exactly the overload above) once per distinct object.
+  /// then this is exactly the overload above) once per distinct object,
+  /// in ascending id order during the bitmap scan; lookup() is a pure
+  /// query (core/peer_source.hpp), so the order cannot change a result.
   /// A valid peer copy strictly fresher than the own cached recency tags
   /// the candidate kPeer with the discounted weight peer_cost(size,
   /// factor) and the per-request score sum at the peer's recency; the
@@ -133,9 +143,8 @@ class CandidateBuilder {
                             const ResidencyProbe* residency);
 
  private:
-  std::vector<std::uint64_t> stamp_;  // per-object epoch of last touch
-  std::vector<std::uint32_t> slot_;   // object -> index into set_.candidates
-  std::uint64_t epoch_ = 0;           // 0 = never seen
+  std::vector<std::uint64_t> touched_;  // bit per object requested this build
+  std::vector<std::uint32_t> slot_;     // object -> index into set_.candidates
   CandidateSet set_;
 };
 

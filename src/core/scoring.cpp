@@ -5,15 +5,8 @@
 
 namespace mobi::core {
 
-double RecencyScorer::score(double x, double c) const {
-  if (x < 0.0 || x > 1.0) {
-    throw std::invalid_argument("RecencyScorer::score: x must be in [0, 1]");
-  }
-  if (!(c > 0.0) || c > 1.0) {
-    throw std::invalid_argument("RecencyScorer::score: c must be in (0, 1]");
-  }
-  if (x >= c) return 1.0;
-  return below_target(x, c);
+void RecencyScorer::reject(const char* what) {
+  throw std::invalid_argument(what);
 }
 
 double ReciprocalScorer::below_target(double x, double c) const {

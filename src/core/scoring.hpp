@@ -22,9 +22,21 @@ class RecencyScorer {
   virtual ~RecencyScorer() = default;
 
   /// Score of serving a copy with recency `x` to a client with target `c`.
-  /// Preconditions: x in [0, 1], c in (0, 1]. Returns a value in [0, 1],
-  /// with score(x, c) == 1.0 whenever x >= c.
-  double score(double x, double c) const;
+  /// Preconditions: x in [0, 1], c in (0, 1], each checked on every call
+  /// (std::invalid_argument). Returns a value in [0, 1], with
+  /// score(x, c) == 1.0 whenever x >= c. Inline because the candidate
+  /// builder calls it once or twice per request; only the throw is out of
+  /// line.
+  double score(double x, double c) const {
+    if (x < 0.0 || x > 1.0) [[unlikely]] {
+      reject("RecencyScorer::score: x must be in [0, 1]");
+    }
+    if (!(c > 0.0) || c > 1.0) [[unlikely]] {
+      reject("RecencyScorer::score: c must be in (0, 1]");
+    }
+    if (x >= c) return 1.0;
+    return below_target(x, c);
+  }
 
   /// The client's gain from a remote fetch instead of this cached copy:
   /// benefit = 1.0 - score(x, c) (paper §2's benefit(i)).
@@ -35,6 +47,9 @@ class RecencyScorer {
  protected:
   /// Score for the x < c case only; implementations need not re-check.
   virtual double below_target(double x, double c) const = 0;
+
+ private:
+  [[noreturn]] static void reject(const char* what);
 };
 
 class ReciprocalScorer final : public RecencyScorer {

@@ -105,6 +105,7 @@ TEST(Cache, BadIdThrows) {
   EXPECT_THROW(cache.contains(2), std::out_of_range);
   EXPECT_THROW(cache.refresh(5, fetched(1), 0), std::out_of_range);
   EXPECT_THROW(cache.recency(9), std::out_of_range);
+  EXPECT_THROW(cache.recency_or_zero(9), std::out_of_range);
 }
 
 TEST(Cache, ExponentialDecayModelIsHonored) {
