@@ -1,9 +1,10 @@
 // Substrate validation: the analytic FixedNetwork contention model (used
 // by BaseStation) vs the exact event-driven processor-sharing link. For a
 // batch submitted at one instant, processor sharing completes items
-// smallest-first and the *last* completion equals the analytic
-// batch_completion_time; per-item times differ because the analytic model
-// charges contention uniformly. This bench quantifies that gap across
+// smallest-first and the *last* completion equals the batch time that
+// FixedNetwork::record_batch_completion returns (latency + total /
+// bandwidth); per-item times differ because the analytic model charges
+// contention uniformly. This bench quantifies that gap across
 // burst shapes so users know when the cheap model suffices.
 #include <algorithm>
 #include <iostream>

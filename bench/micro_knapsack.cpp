@@ -32,6 +32,11 @@ namespace {
 using mobi::core::KnapsackItem;
 using mobi::object::Units;
 
+// The kernel rows' instance: 512 items at capacity 2560, and its
+// decision-matrix row width.
+constexpr std::size_t kCap512 = 2560;
+constexpr std::size_t kRowWords512 = (kCap512 + 1 + 63) / 64;
+
 std::vector<KnapsackItem> make_items(std::size_t n, std::uint64_t seed = 42) {
   mobi::util::Rng rng(seed);
   std::vector<KnapsackItem> items(n);
@@ -95,26 +100,23 @@ void BM_KnapsackBranchAndBound(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackBranchAndBound)->Range(32, 256);
 
-// The same 512-item DP pinned to one kernel: arg 1 = scalar, 2 = word-
-// parallel baseline, 3 = AVX2-dispatched word-parallel (skipped where the
-// host or toolchain lacks it). Restores the auto-detected kernel on exit.
+// The same 512-item DP fill pinned to one kernel: arg 1 = scalar, 2 =
+// word-parallel baseline, 3 = AVX2-dispatched word-parallel (skipped where
+// the host or toolchain lacks it).
 void BM_KnapsackDpKernel(benchmark::State& state) {
-  using mobi::core::detail::DpKernel;
-  const auto kernel = DpKernel(state.range(0));
-  if (!mobi::core::detail::dp_kernel_supported(kernel)) {
+  namespace detail = mobi::core::detail;
+  const auto kernel = detail::DpKernel(state.range(0));
+  if (!detail::dp_kernel_supported(kernel)) {
     state.SkipWithError("kernel unsupported on this host");
     return;
   }
   const auto items = make_items(512);
-  const Units capacity = 2560;
-  mobi::core::detail::set_dp_kernel(kernel);
   mobi::core::KnapsackWorkspace ws;
-  mobi::core::KnapsackSolution out;
   for (auto _ : state) {
-    mobi::core::solve_dp(items, capacity, ws, out);
-    benchmark::DoNotOptimize(out.value);
+    detail::dp_fill(items, kCap512, ws, kRowWords512, kernel);
+    benchmark::DoNotOptimize(detail::WorkspaceAccess::values(ws).data());
+    benchmark::ClobberMemory();
   }
-  mobi::core::detail::set_dp_kernel(DpKernel::kAuto);
 }
 BENCHMARK(BM_KnapsackDpKernel)
     ->Arg(int(mobi::core::detail::DpKernel::kScalar))
@@ -191,7 +193,6 @@ void run_hotpath(const mobi::util::Flags& flags) {
   // numbers. Gauges are set once here and sampled every recorder round.
   {
     const auto items512 = make_items(512);
-    const Units cap512 = 2560;
     core::KnapsackWorkspace kws;
     core::KnapsackSolution ksol;
     const int reps = quick ? 5 : 40;
@@ -215,18 +216,17 @@ void run_hotpath(const mobi::util::Flags& flags) {
     double scalar_ns = 0.0;
     for (const KernelRow& row : kernels) {
       if (!core::detail::dp_kernel_supported(row.kernel)) continue;
-      core::detail::set_dp_kernel(row.kernel);
-      const double ns =
-          time_ns([&] { core::solve_dp(items512, cap512, kws, ksol); });
+      const double ns = time_ns([&] {
+        core::detail::dp_fill(items512, kCap512, kws, kRowWords512, row.kernel);
+      });
       if (row.kernel == core::detail::DpKernel::kScalar) scalar_ns = ns;
       registry
           .register_gauge(std::string("knapsack.dp512.") + row.name +
-                          "_ns_per_solve")
+                          "_ns_per_fill")
           .set(ns);
-      std::printf("  %-20s %9.0f ns/solve (%.2fx vs scalar)\n", row.name, ns,
+      std::printf("  %-20s %9.0f ns/fill (%.2fx vs scalar)\n", row.name, ns,
                   scalar_ns / ns);
     }
-    core::detail::set_dp_kernel(core::detail::DpKernel::kAuto);
     std::printf("== micro_knapsack parallel bnb scaling (512 items) ==\n");
     double t1_ns = 0.0;
     for (std::size_t bnb_threads : {1u, 2u, 4u, 8u}) {
@@ -234,7 +234,7 @@ void run_hotpath(const mobi::util::Flags& flags) {
       config.threads = bnb_threads;
       core::ParallelKnapsackEngine engine(config);
       const double ns =
-          time_ns([&] { engine.solve(items512, cap512, kws, ksol); });
+          time_ns([&] { engine.solve(items512, Units(kCap512), kws, ksol); });
       if (bnb_threads == 1) t1_ns = ns;
       const std::string base =
           "knapsack.bnb512.t" + std::to_string(bnb_threads);

@@ -10,8 +10,10 @@
 #include "bench_common.hpp"
 #include "cache/decay.hpp"
 #include "core/base_station.hpp"
+#include "net/fault_injector.hpp"
 #include "object/builders.hpp"
 #include "server/remote_server.hpp"
+#include "sim/fault_plan.hpp"
 #include "util/rng.hpp"
 #include "workload/access.hpp"
 #include "workload/hotspot.hpp"
@@ -28,11 +30,14 @@ double run(const std::string& policy_name, sim::Tick hot_shift_period,
   server::ServerPool servers(catalog, 1);
   core::BaseStationConfig config;
   config.download_budget = 15;
-  config.fetch_failure_rate = failure_rate;
-  config.failure_seed = seed ^ 0x7777ULL;
   core::BaseStation station(catalog, servers, cache::make_harmonic_decay(),
                             std::make_unique<core::ReciprocalScorer>(),
                             core::make_policy(policy_name), config);
+  sim::FaultPlan plan;
+  plan.fetch_failure_rate = failure_rate;
+  plan.seed = seed ^ 0x7777ULL;
+  net::FaultInjector faults(plan);
+  station.set_fault_injector(&faults);
   auto updates = workload::make_periodic_staggered(n, 4);
   const workload::ShiftingHotspot hotspot(workload::make_zipf_access(n, 1.0),
                                           hot_shift_period, n / 4);

@@ -38,7 +38,6 @@
 #include "server/remote_server.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/tick.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "workload/access.hpp"
 #include "workload/requests.hpp"
@@ -101,13 +100,10 @@ struct CellResult {
   }
 };
 
-/// Per-tick cumulative CellResult snapshots, allocated from a
-/// util::MonotonicArena so a fleet run's cold path (cells × ticks
-/// snapshots) lands in a few reused slabs instead of per-cell heap
-/// growth. The arena is single-threaded: callers running cells on worker
-/// threads must reserve() each series to its final size (one snapshot
-/// per tick) *before* dispatch — see util/arena.hpp.
-using CellSeries = std::vector<CellResult, util::ArenaAllocator<CellResult>>;
+/// Per-tick cumulative CellResult snapshots, one per tick. Callers that
+/// run cells on worker threads reserve() each series to its final size
+/// before dispatch, so the workers never grow it.
+using CellSeries = std::vector<CellResult>;
 
 /// One base station and the clients resident in its cell, stepped one
 /// tick at a time. The catalog, access distribution and client vector

@@ -24,13 +24,9 @@ BaseStation::BaseStation(const object::Catalog& catalog,
       config_(config),
       network_(config.network_bandwidth, config.network_latency,
                config.network_contention),
-      downlink_(config.downlink_capacity),
-      failure_rng_(config.failure_seed) {
+      downlink_(config.downlink_capacity) {
   if (!scorer_) throw std::invalid_argument("BaseStation: null scorer");
   if (!policy_) throw std::invalid_argument("BaseStation: null policy");
-  if (config.fetch_failure_rate < 0.0 || config.fetch_failure_rate > 1.0) {
-    throw std::invalid_argument("BaseStation: fetch_failure_rate in [0, 1]");
-  }
   if (config.coalesce_downlink) {
     sent_epoch_.assign(catalog.size(), 0);  // epoch 0 = never sent
   }
@@ -48,8 +44,7 @@ void BaseStation::set_fault_injector(net::FaultInjector* injector) {
   network_.set_fault_injector(injector);
   downlink_.set_fault_injector(injector);
   // An idle injector (empty plan) must be observably absent, so it gets
-  // no fault scratch: legacy-rate failures keep their pre-fault
-  // accounting (no failed-this-tick stamps, no degraded-serve counts).
+  // no fault scratch.
   if (injector && !injector->idle()) ensure_fault_scratch();
 }
 
@@ -65,15 +60,7 @@ void BaseStation::ensure_fault_scratch() {
 }
 
 bool BaseStation::fetch_blocked(object::ObjectId id) {
-  if (config_.fetch_failure_rate > 0.0 &&
-      failure_rng_.bernoulli(config_.fetch_failure_rate)) {
-    return true;
-  }
-  if (fault_) {
-    if (fault_->draw_fetch_failure()) return true;
-    if (!servers_->available(id)) return true;
-  }
-  return false;
+  return fault_ && (fault_->draw_fetch_failure() || !servers_->available(id));
 }
 
 void BaseStation::on_server_update(object::ObjectId id, sim::Tick now) {
@@ -348,7 +335,6 @@ void BaseStation::set_metrics(obs::MetricsRegistry* registry,
   inst_ = {};
   cache_.set_metrics(registry, prefix + ".cache");
   downlink_.set_metrics(registry, prefix + ".downlink");
-  policy_->set_metrics(registry, prefix);  // e.g. bs.knapsack.parallel.*
   if (!registry) return;
   inst_.requests = &registry->register_counter(prefix + ".requests");
   inst_.hits = &registry->register_counter(prefix + ".hits");

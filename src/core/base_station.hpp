@@ -16,7 +16,6 @@
 
 #include "cache/cache.hpp"
 #include "core/policy.hpp"
-#include "util/rng.hpp"
 #include "core/scoring.hpp"
 #include "net/downlink.hpp"
 #include "net/fixed_network.hpp"
@@ -50,12 +49,6 @@ struct BaseStationConfig {
   /// transmission of an object serves every client that requested it this
   /// tick (response coalescing). When false each response is unicast.
   bool coalesce_downlink = false;
-  /// Probability that a remote fetch fails this tick (transient fixed-
-  /// network fault); failed fetches consume no bandwidth, leave the cache
-  /// untouched, and the request is served stale. Deterministic under
-  /// `failure_seed`.
-  double fetch_failure_rate = 0.0;
-  std::uint64_t failure_seed = 0x5eedf00dULL;
   /// Maximum retry attempts per failed fetch (0 = seed behavior: fail
   /// once, serve stale, never re-enqueue). With retries on, a failed
   /// fetch is re-enqueued with exponential backoff — 1, 2, 4, ... ticks
@@ -234,10 +227,9 @@ class BaseStation {
   std::size_t retry_queue_depth() const noexcept { return retry_queue_.size(); }
 
  private:
-  /// True when this fetch attempt must fail: legacy bernoulli fault
-  /// first (stream-compatible with the pre-injector code), then the
-  /// injector's fetch-failure draw, then the owning server's outage
-  /// window. Short-circuits, so an idle injector costs two branches.
+  /// True when this fetch attempt must fail: the injector's fetch-failure
+  /// draw, then the owning server's outage window. Short-circuits, and a
+  /// zero-rate draw consumes no RNG, so an idle injector changes nothing.
   bool fetch_blocked(object::ObjectId id);
 
   /// Allocates the retry/degraded-serve scratch once (outside the steady
@@ -261,7 +253,6 @@ class BaseStation {
   BaseStationConfig config_;
   net::FixedNetwork network_;
   net::WirelessDownlink downlink_;
-  util::Rng failure_rng_;
   RunTotals totals_;
 
   // Per-batch scratch retained across ticks (docs/performance.md): fetch

@@ -1,7 +1,6 @@
 #include "core/knapsack.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -178,11 +177,6 @@ DpKernel detect_best_kernel() noexcept {
   return DpKernel::kWordParallel;
 }
 
-std::atomic<DpKernel>& dp_kernel_slot() {
-  static std::atomic<DpKernel> slot{detect_best_kernel()};
-  return slot;
-}
-
 }  // namespace
 
 bool dp_kernel_supported(DpKernel kernel) noexcept {
@@ -201,19 +195,6 @@ bool dp_kernel_supported(DpKernel kernel) noexcept {
   return false;
 }
 
-void set_dp_kernel(DpKernel kernel) {
-  if (!dp_kernel_supported(kernel)) {
-    throw std::invalid_argument("set_dp_kernel: kernel not supported here");
-  }
-  dp_kernel_slot().store(
-      kernel == DpKernel::kAuto ? detect_best_kernel() : kernel,
-      std::memory_order_relaxed);
-}
-
-DpKernel active_dp_kernel() noexcept {
-  return dp_kernel_slot().load(std::memory_order_relaxed);
-}
-
 void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
              KnapsackWorkspace& ws, std::size_t row_words, DpKernel kernel) {
   const std::size_t n = items.size();
@@ -224,7 +205,10 @@ void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
   values.resize(cap + 1);
   bits.resize(n * row_words);
   std::fill(bits.begin(), bits.end(), 0);
-  if (kernel == DpKernel::kAuto) kernel = active_dp_kernel();
+  if (kernel == DpKernel::kAuto) {
+    static const DpKernel best = detect_best_kernel();
+    kernel = best;
+  }
   if (kernel == DpKernel::kScalar) {
     std::fill(values.begin(), values.end(), 0.0);
     dp_kernel_scalar(items, cap, values.data(), bits.data(), row_words);

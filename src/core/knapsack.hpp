@@ -112,20 +112,12 @@ bool take_all_shortcut(std::span<const KnapsackItem> items,
 ///  * kWordParallelAvx2 — the same kernel body compiled for AVX2 via
 ///    function multiversioning; selected at runtime when the CPU supports
 ///    it (x86-64 builds only).
-/// kAuto resolves to the best supported kernel.
+/// kAuto resolves, once per process, to the best kernel this CPU
+/// supports; tests and benches pass a kernel explicitly to compare them.
 enum class DpKernel { kAuto, kScalar, kWordParallel, kWordParallelAvx2 };
 
 /// Whether this build/CPU can execute the given kernel.
 bool dp_kernel_supported(DpKernel kernel) noexcept;
-
-/// Overrides the process-wide kernel (kAuto restores the default). Throws
-/// std::invalid_argument for an unsupported kernel. Intended for tests and
-/// benches; safe to call concurrently with solves (atomic, each dp_fill
-/// reads it once).
-void set_dp_kernel(DpKernel kernel);
-
-/// The kernel kAuto currently resolves to (never kAuto itself).
-DpKernel active_dp_kernel() noexcept;
 
 /// Resizes ws.values_ / ws.take_bits_ (and ws.values_prev_ for the
 /// two-row kernels) and fills the optimal value curve for capacities

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mobi::core {
@@ -95,17 +94,7 @@ struct ParallelKnapsackEngine::Impl {
   double vstar = 0.0;
   double slack = 0.0;
 
-  // -- stats / metrics ---------------------------------------------------
   ParallelBnbStats stats;
-  ParallelBnbStats exported;
-  obs::Counter* c_solves = nullptr;
-  obs::Counter* c_shortcuts = nullptr;
-  obs::Counter* c_bnb_runs = nullptr;
-  obs::Counter* c_fallbacks = nullptr;
-  obs::Counter* c_subproblems = nullptr;
-  obs::Counter* c_steals = nullptr;
-  obs::Counter* c_nodes = nullptr;
-  obs::Counter* c_p2_nodes = nullptr;
 
   // ----------------------------------------------------------------------
 
@@ -443,19 +432,6 @@ struct ParallelKnapsackEngine::Impl {
     return value;
   }
 
-  void export_metrics() {
-    if (!c_solves) return;
-    c_solves->add(stats.solves - exported.solves);
-    c_shortcuts->add(stats.shortcut_solves - exported.shortcut_solves);
-    c_bnb_runs->add(stats.bnb_runs - exported.bnb_runs);
-    c_fallbacks->add(stats.dp_fallbacks - exported.dp_fallbacks);
-    c_subproblems->add(stats.subproblems - exported.subproblems);
-    c_steals->add(stats.steals - exported.steals);
-    c_nodes->add(stats.nodes - exported.nodes);
-    c_p2_nodes->add(stats.phase2_nodes - exported.phase2_nodes);
-    exported = stats;
-  }
-
   void solve(std::span<const KnapsackItem> item_span, object::Units cap,
              KnapsackWorkspace& ws, KnapsackSolution& out) {
     detail::validate_items(item_span);
@@ -465,7 +441,6 @@ struct ParallelKnapsackEngine::Impl {
     ++stats.solves;
     if (detail::take_all_shortcut(item_span, cap, out)) {
       ++stats.shortcut_solves;
-      export_metrics();
       return;
     }
     ++stats.bnb_runs;
@@ -489,7 +464,6 @@ struct ParallelKnapsackEngine::Impl {
     if (aborted.load(std::memory_order_relaxed)) {
       ++stats.dp_fallbacks;
       solve_dp(item_span, cap, ws, out);
-      export_metrics();
       return;
     }
     vstar = best.load(std::memory_order_relaxed);
@@ -499,7 +473,6 @@ struct ParallelKnapsackEngine::Impl {
       ++stats.dp_fallbacks;
       solve_dp(item_span, cap, ws, out);
     }
-    export_metrics();
   }
 };
 
@@ -512,10 +485,6 @@ std::size_t ParallelKnapsackEngine::threads() const noexcept {
   return impl_->threads;
 }
 
-const ParallelBnbConfig& ParallelKnapsackEngine::config() const noexcept {
-  return impl_->config;
-}
-
 void ParallelKnapsackEngine::solve(std::span<const KnapsackItem> items,
                                    object::Units capacity,
                                    KnapsackWorkspace& ws,
@@ -525,30 +494,6 @@ void ParallelKnapsackEngine::solve(std::span<const KnapsackItem> items,
 
 const ParallelBnbStats& ParallelKnapsackEngine::stats() const noexcept {
   return impl_->stats;
-}
-
-void ParallelKnapsackEngine::set_metrics(obs::MetricsRegistry* registry,
-                                         const std::string& prefix) {
-  Impl& impl = *impl_;
-  if (!registry) {
-    impl.c_solves = impl.c_shortcuts = impl.c_bnb_runs = impl.c_fallbacks =
-        impl.c_subproblems = impl.c_steals = impl.c_nodes = impl.c_p2_nodes =
-            nullptr;
-    return;
-  }
-  impl.c_solves = &registry->register_counter(prefix + ".solves");
-  impl.c_shortcuts = &registry->register_counter(prefix + ".shortcut_solves");
-  impl.c_bnb_runs = &registry->register_counter(prefix + ".bnb_runs");
-  impl.c_fallbacks = &registry->register_counter(prefix + ".dp_fallbacks");
-  impl.c_subproblems = &registry->register_counter(prefix + ".subproblems");
-  impl.c_steals = &registry->register_counter(prefix + ".steals");
-  impl.c_nodes = &registry->register_counter(prefix + ".nodes");
-  impl.c_p2_nodes = &registry->register_counter(prefix + ".phase2_nodes");
-  registry->register_gauge(prefix + ".threads").set(double(impl.threads));
-  impl.exported = ParallelBnbStats{};
-  // Counters start at zero: re-export the running totals so a registry
-  // attached mid-life still sees monotone since-construction counts.
-  impl.export_metrics();
 }
 
 void solve_dp_word_parallel(std::span<const KnapsackItem> items,

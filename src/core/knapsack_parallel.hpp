@@ -52,14 +52,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 
 #include "core/knapsack.hpp"
 #include "object/object.hpp"
-
-namespace mobi::obs {
-class MetricsRegistry;
-}  // namespace mobi::obs
 
 namespace mobi::core {
 
@@ -95,8 +90,8 @@ struct ParallelBnbStats {
 };
 
 /// See the file comment for the algorithm and its contracts. One engine
-/// per policy/owner; solve() is not reentrant (the engine's own workers
-/// are the only concurrency).
+/// per owner; solve() is not reentrant (the engine's own workers are the
+/// only concurrency).
 class ParallelKnapsackEngine {
  public:
   explicit ParallelKnapsackEngine(ParallelBnbConfig config = {});
@@ -105,7 +100,6 @@ class ParallelKnapsackEngine {
   ParallelKnapsackEngine& operator=(const ParallelKnapsackEngine&) = delete;
 
   std::size_t threads() const noexcept;
-  const ParallelBnbConfig& config() const noexcept;
 
   /// Exact solve, bit-identical to solve_dp(items, capacity, ws, out).
   /// Borrows `ws` for the density order, shortcut scratch, and any DP
@@ -113,25 +107,18 @@ class ParallelKnapsackEngine {
   void solve(std::span<const KnapsackItem> items, object::Units capacity,
              KnapsackWorkspace& ws, KnapsackSolution& out);
 
+  /// Node and steal totals are schedule-dependent: report them, never
+  /// compare them against a golden.
   const ParallelBnbStats& stats() const noexcept;
-
-  /// Registers the `<prefix>.*` counter/gauge family (solves, bnb_runs,
-  /// dp_fallbacks, subproblems, steals, nodes, phase2_nodes, threads) and
-  /// mirrors the stats into it after every solve, from the caller thread
-  /// (MetricsRegistry is single-threaded by contract). nullptr detaches.
-  /// Node/steal totals are schedule-dependent — export them to dashboards,
-  /// never into golden comparisons.
-  void set_metrics(obs::MetricsRegistry* registry,
-                   const std::string& prefix = "knapsack.parallel");
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Single solve through the word-parallel DP kernel regardless of the
-/// process-wide kernel setting (detail::set_dp_kernel); bit-identical to
-/// solve_dp. Test/bench entry point for kernel differentials.
+/// Single solve through the portable word-parallel DP kernel, whatever
+/// kernel kAuto picks on this CPU; bit-identical to solve_dp.
+/// Test/bench entry point for kernel differentials.
 void solve_dp_word_parallel(std::span<const KnapsackItem> items,
                             object::Units capacity, KnapsackWorkspace& ws,
                             KnapsackSolution& out);

@@ -1,13 +1,11 @@
 #include "core/policy.hpp"
 
 #include "core/adaptive_budget.hpp"
-#include "core/knapsack_parallel.hpp"
 #include "core/latency_aware.hpp"
 #include "core/swr_policy.hpp"
 
 #include <algorithm>
 #include <stdexcept>
-#include <string_view>
 
 namespace mobi::core {
 
@@ -42,36 +40,12 @@ const char* solver_name(KnapsackSolver solver) noexcept {
   switch (solver) {
     case KnapsackSolver::kExactDp: return "dp";
     case KnapsackSolver::kGreedy: return "greedy";
-    case KnapsackSolver::kFptas: return "fptas";
-    case KnapsackSolver::kParallelBnb: return "bnb-par";
   }
   return "?";
 }
 
-OnDemandKnapsackPolicy::OnDemandKnapsackPolicy(KnapsackSolver solver,
-                                               double fptas_epsilon,
-                                               std::size_t bnb_threads)
-    : solver_(solver), fptas_epsilon_(fptas_epsilon) {
-  if (solver == KnapsackSolver::kFptas &&
-      (!(fptas_epsilon > 0.0) || fptas_epsilon >= 1.0)) {
-    throw std::invalid_argument("OnDemandKnapsackPolicy: bad epsilon");
-  }
-  if (solver == KnapsackSolver::kParallelBnb) {
-    ParallelBnbConfig config;
-    config.threads = bnb_threads;
-    engine_ = std::make_unique<ParallelKnapsackEngine>(config);
-  }
-}
-
-OnDemandKnapsackPolicy::~OnDemandKnapsackPolicy() = default;
-
 std::string OnDemandKnapsackPolicy::name() const {
   return std::string("on-demand-knapsack(") + solver_name(solver_) + ")";
-}
-
-void OnDemandKnapsackPolicy::set_metrics(obs::MetricsRegistry* registry,
-                                         const std::string& prefix) {
-  if (engine_) engine_->set_metrics(registry, prefix + ".knapsack.parallel");
 }
 
 void OnDemandKnapsackPolicy::select_into(const workload::RequestBatch& batch,
@@ -100,19 +74,10 @@ void OnDemandKnapsackPolicy::select_into(const workload::RequestBatch& batch,
   for (const auto& cand : set.candidates) {
     items_.push_back(KnapsackItem{tier_size(cand), tier_profit(cand)});
   }
-  switch (solver_) {
-    case KnapsackSolver::kExactDp:
-      solve_dp(items_, ctx.budget, ws_, solution_);
-      break;
-    case KnapsackSolver::kGreedy:
-      solve_greedy(items_, ctx.budget, ws_, solution_);
-      break;
-    case KnapsackSolver::kFptas:
-      solve_fptas(items_, ctx.budget, fptas_epsilon_, ws_, solution_);
-      break;
-    case KnapsackSolver::kParallelBnb:
-      engine_->solve(items_, ctx.budget, ws_, solution_);
-      break;
+  if (solver_ == KnapsackSolver::kGreedy) {
+    solve_greedy(items_, ctx.budget, ws_, solution_);
+  } else {
+    solve_dp(items_, ctx.budget, ws_, solution_);
   }
   for (std::size_t index : solution_.chosen) {
     out.push_back(set.candidates[index].object);
@@ -229,27 +194,6 @@ std::unique_ptr<DownloadPolicy> make_policy(const std::string& name) {
   }
   if (name == "on-demand-knapsack-greedy") {
     return std::make_unique<OnDemandKnapsackPolicy>(KnapsackSolver::kGreedy);
-  }
-  // "on-demand-knapsack-bnb" with an optional ":<threads>" suffix, e.g.
-  // "on-demand-knapsack-bnb:4"; no suffix (or :0) = hardware concurrency.
-  if (constexpr std::string_view kBnb = "on-demand-knapsack-bnb";
-      name.compare(0, kBnb.size(), kBnb) == 0) {
-    std::size_t threads = 0;
-    if (name.size() > kBnb.size()) {
-      if (name[kBnb.size()] != ':' || name.size() == kBnb.size() + 1) {
-        throw std::invalid_argument("make_policy: bad bnb suffix '" + name +
-                                    "'");
-      }
-      const std::string suffix = name.substr(kBnb.size() + 1);
-      std::size_t consumed = 0;
-      threads = std::stoul(suffix, &consumed);
-      if (consumed != suffix.size()) {
-        throw std::invalid_argument("make_policy: bad bnb thread count '" +
-                                    name + "'");
-      }
-    }
-    return std::make_unique<OnDemandKnapsackPolicy>(
-        KnapsackSolver::kParallelBnb, 0.1, threads);
   }
   if (name == "on-demand-lowest-recency") {
     return std::make_unique<OnDemandLowestRecencyPolicy>();

@@ -30,13 +30,7 @@
 #include "sim/tick.hpp"
 #include "workload/requests.hpp"
 
-namespace mobi::obs {
-class MetricsRegistry;
-}  // namespace mobi::obs
-
 namespace mobi::core {
-
-class ParallelKnapsackEngine;
 
 /// Read-only view of the world a policy may consult.
 struct PolicyContext {
@@ -77,45 +71,30 @@ class DownloadPolicy {
     return out;
   }
   virtual std::string name() const = 0;
-
-  /// Lets a policy export its own counter family under `<prefix>.*`
-  /// (called by BaseStation::set_metrics with the station's prefix; the
-  /// default exports nothing). nullptr detaches.
-  virtual void set_metrics(obs::MetricsRegistry* /*registry*/,
-                           const std::string& /*prefix*/) {}
 };
 
-/// Which solver the knapsack policy uses. kParallelBnb routes through the
-/// ParallelKnapsackEngine (knapsack_parallel.hpp): bit-identical
-/// selections to kExactDp, multi-threaded for large batches. The default
-/// everywhere stays the serial exact DP.
-enum class KnapsackSolver { kExactDp, kGreedy, kFptas, kParallelBnb };
+/// Which solver the knapsack policy uses: the paper's exact DP (the
+/// default everywhere) or the density-greedy heuristic.
+enum class KnapsackSolver { kExactDp, kGreedy };
 
 const char* solver_name(KnapsackSolver solver) noexcept;
 
 class OnDemandKnapsackPolicy final : public DownloadPolicy {
  public:
-  /// `bnb_threads` sizes the parallel engine when solver == kParallelBnb
-  /// (0 = hardware concurrency); ignored otherwise.
-  explicit OnDemandKnapsackPolicy(KnapsackSolver solver = KnapsackSolver::kExactDp,
-                                  double fptas_epsilon = 0.1,
-                                  std::size_t bnb_threads = 0);
-  ~OnDemandKnapsackPolicy() override;
+  explicit OnDemandKnapsackPolicy(
+      KnapsackSolver solver = KnapsackSolver::kExactDp)
+      : solver_(solver) {}
   void select_into(const workload::RequestBatch& batch,
                    const PolicyContext& ctx,
                    std::vector<object::ObjectId>& out) override;
   std::string name() const override;
-  void set_metrics(obs::MetricsRegistry* registry,
-                   const std::string& prefix) override;
 
  private:
   KnapsackSolver solver_;
-  double fptas_epsilon_;
   CandidateBuilder builder_;
   KnapsackWorkspace ws_;
   std::vector<KnapsackItem> items_;
   KnapsackSolution solution_;
-  std::unique_ptr<ParallelKnapsackEngine> engine_;  // kParallelBnb only
 };
 
 class OnDemandLowestRecencyPolicy final : public DownloadPolicy {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "cache/decay.hpp"
 #include "core/base_station.hpp"
@@ -37,9 +38,21 @@ std::shared_ptr<const workload::AccessDistribution> make_access(
   throw std::invalid_argument("make_access: bad pattern");
 }
 
+namespace {
+
+void require_tick_counts(const Fig2Config& config, const char* who) {
+  if (config.warmup_ticks < 0 || config.measure_ticks < 0) {
+    throw std::invalid_argument(
+        std::string(who) + ": warmup_ticks and measure_ticks must be >= 0");
+  }
+}
+
+}  // namespace
+
 object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
                             std::size_t request_rate,
                             obs::SeriesRecorder* recorder) {
+  require_tick_counts(config, "run_fig2_once");
   const object::Catalog catalog =
       object::make_uniform_catalog(config.object_count, config.object_size);
   server::ServerPool servers(catalog, 1);
@@ -80,6 +93,7 @@ Fig2Result run_fig2(const Fig2Config& config, util::ThreadPool* pool) {
   if (config.update_period <= 0) {
     throw std::invalid_argument("run_fig2: update_period must be positive");
   }
+  require_tick_counts(config, "run_fig2");
   Fig2Result result;
   result.config = config;
   result.async_downloaded = object::Units(config.object_count) *

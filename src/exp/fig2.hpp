@@ -73,7 +73,8 @@ struct Fig2Result {
 /// Runs one simulation: returns units downloaded by the on-demand
 /// stale-only policy during the measure window. A non-null `recorder`
 /// snapshots per-tick metrics (base station + cache + downlink +
-/// servers); observation never changes the result.
+/// servers); observation never changes the result. Throws
+/// std::invalid_argument for a negative tick count.
 object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
                             std::size_t request_rate,
                             obs::SeriesRecorder* recorder = nullptr);
@@ -81,7 +82,8 @@ object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
 /// Full sweep over request rates and the three access patterns. A
 /// non-null `pool` runs the (pattern, rate) simulations on it; each is
 /// independent with its own seed-derived RNG, so the result is the same
-/// either way. Throws std::invalid_argument unless update_period > 0.
+/// either way. Throws std::invalid_argument unless update_period > 0 and
+/// both tick counts are >= 0.
 Fig2Result run_fig2(const Fig2Config& config,
                     util::ThreadPool* pool = nullptr);
 

@@ -1,6 +1,8 @@
 #include "exp/fig3.hpp"
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "cache/decay.hpp"
 #include "core/base_station.hpp"
@@ -19,6 +21,13 @@
 namespace mobi::exp {
 
 namespace {
+
+void require_tick_counts(const Fig3Config& config, const char* who) {
+  if (config.warmup_ticks < 0 || config.measure_ticks < 0) {
+    throw std::invalid_argument(
+        std::string(who) + ": warmup_ticks and measure_ticks must be >= 0");
+  }
+}
 
 /// Builds the shared trace both policies replay ("both simulations used
 /// the same set of randomly generated client requests").
@@ -76,11 +85,13 @@ double run_trace(const Fig3Config& config, const workload::Trace& trace,
 
 double run_fig3_once(const Fig3Config& config, object::Units budget,
                      bool on_demand, obs::SeriesRecorder* recorder) {
+  require_tick_counts(config, "run_fig3_once");
   const workload::Trace trace = build_trace(config);
   return run_trace(config, trace, budget, on_demand, recorder);
 }
 
 Fig3Result run_fig3(const Fig3Config& config, util::ThreadPool* pool) {
+  require_tick_counts(config, "run_fig3");
   Fig3Result result;
   result.config = config;
   const workload::Trace trace = build_trace(config);

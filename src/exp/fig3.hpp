@@ -53,13 +53,14 @@ struct Fig3Result {
 /// One (policy, budget) simulation; returns the mean recency of all copies
 /// delivered during the measure window. `on_demand` false = round robin.
 /// A non-null `recorder` snapshots per-tick metrics; observation never
-/// changes the result.
+/// changes the result. Throws std::invalid_argument for a negative tick
+/// count.
 double run_fig3_once(const Fig3Config& config, object::Units budget,
                      bool on_demand, obs::SeriesRecorder* recorder = nullptr);
 
 /// Budget sweep. A non-null `pool` runs the budgets on it; all points
 /// replay the same pre-generated trace, so the result is the same either
-/// way.
+/// way. Throws std::invalid_argument for a negative tick count.
 Fig3Result run_fig3(const Fig3Config& config,
                     util::ThreadPool* pool = nullptr);
 

@@ -9,7 +9,6 @@
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
 #include "obs/window.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace mobi::exp {
@@ -112,13 +111,13 @@ void accumulate(coop::CoopResult& into, const coop::CoopResult& from) {
 // recorder never observes scheduling.
 //
 // Accumulation is shard-major: each shard's series is walked once,
-// sequentially, into arena-backed per-tick accumulator rows, and the
-// registry/sampling pass then reads the finished rows. The old shape
+// sequentially, into per-tick accumulator rows, and the registry/sampling
+// pass then reads the finished rows. The old shape
 // re-walked every shard inside the tick loop, striding across all the
 // shard series at once — same arithmetic, much worse locality, and the
 // accumulator row was rebuilt from scratch per tick.
 template <typename SeriesRows, typename Row>
-void accumulate_rows(util::ArenaVector<Row>& acc, const SeriesRows& series) {
+void accumulate_rows(std::vector<Row>& acc, const SeriesRows& series) {
   const std::size_t ticks = series.empty() ? 0 : series.front().size();
   acc.resize(ticks);
   for (const auto& shard : series) {
@@ -131,7 +130,7 @@ void accumulate_rows(util::ArenaVector<Row>& acc, const SeriesRows& series) {
 // nothing, keeping the registry byte-identical to the pre-mobility path.
 template <typename SeriesRows>
 void record_sharded(obs::SeriesRecorder& recorder, const SeriesRows& series,
-                    std::size_t cells, util::MonotonicArena& arena,
+                    std::size_t cells,
                     const std::vector<MobilityRunStats>* mobility = nullptr,
                     obs::WindowAggregator* windows = nullptr) {
   obs::MetricsRegistry& registry = recorder.registry();
@@ -159,8 +158,7 @@ void record_sharded(obs::SeriesRecorder& recorder, const SeriesRows& series,
     mob_lost = &registry.register_counter("mc.mobility.lost_deliveries");
   }
 
-  util::ArenaVector<client::CellResult> acc{
-      util::ArenaAllocator<client::CellResult>(&arena)};
+  std::vector<client::CellResult> acc;
   accumulate_rows(acc, series);
   recorder.reserve(recorder.samples() + acc.size());
   // Column snapshot must follow the last registration above (and any
@@ -198,7 +196,7 @@ void record_sharded(obs::SeriesRecorder& recorder, const SeriesRows& series,
 
 void record_coop(obs::SeriesRecorder& recorder,
                  const std::vector<std::vector<coop::CoopResult>>& series,
-                 std::size_t cells, util::MonotonicArena& arena,
+                 std::size_t cells,
                  obs::WindowAggregator* windows = nullptr) {
   obs::MetricsRegistry& registry = recorder.registry();
   obs::Counter& requests = registry.register_counter("mc.requests");
@@ -225,8 +223,7 @@ void record_coop(obs::SeriesRecorder& recorder,
   obs::Gauge& average_score = registry.register_gauge("mc.average_score");
   registry.register_gauge("mc.cells").set(double(cells));
 
-  util::ArenaVector<coop::CoopResult> acc{
-      util::ArenaAllocator<coop::CoopResult>(&arena)};
+  std::vector<coop::CoopResult> acc;
   accumulate_rows(acc, series);
   recorder.reserve(recorder.samples() + acc.size());
   if (windows) windows->begin();
@@ -392,24 +389,15 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
   const bool want_series = config.keep_series || recorder != nullptr;
   const std::vector<std::uint64_t> costs = shard_cost_estimates(config);
 
-  // One arena per run, declared before everything allocated from it. All
-  // arena traffic happens on this thread: per-shard series storage is
-  // reserved to its exact final size (run_cell appends one snapshot per
-  // tick) *before* dispatch, so workers only fill pre-reserved memory.
-  util::MonotonicArena arena;
-
   if (config.topology == CellTopology::kSharded) {
     const std::size_t shards = config.cell_count;
     result.shards = shards;
     result.per_cell.resize(shards);
-    std::vector<client::CellSeries> series;
-    if (want_series) {
-      series.reserve(shards);
-      for (std::size_t i = 0; i < shards; ++i) {
-        series.emplace_back(util::ArenaAllocator<client::CellResult>(&arena));
-        series.back().reserve(config.cell.ticks);
-      }
-    }
+    // Each shard's series is reserved to its exact final size (run_cell
+    // appends one snapshot per tick) before dispatch, so workers only
+    // fill memory that is already there.
+    std::vector<client::CellSeries> series(want_series ? shards : 0);
+    for (auto& shard : series) shard.reserve(config.cell.ticks);
     // Tracing state is strictly per shard — a tracer and a private
     // histogram registry each — so traced shards stay share-nothing and
     // the pool-size determinism contract holds untouched.
@@ -505,16 +493,11 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
       obs::ScopedPhase record_span(profiler, record_phase);
       record_span.add_cost(std::uint64_t(config.cell.ticks));
       if (want_trace) merge_shard_traces(*recorder, tracers, shard_regs);
-      record_sharded(*recorder, series, config.cell_count, arena,
+      record_sharded(*recorder, series, config.cell_count,
                      config.mobility.empty() ? nullptr : &mobility_rows,
                      observers.windows);
     }
-    if (config.keep_series) {
-      result.cell_series.reserve(series.size());
-      for (const auto& shard : series) {
-        result.cell_series.emplace_back(shard.begin(), shard.end());
-      }
-    }
+    if (config.keep_series) result.cell_series = std::move(series);
     if (want_trace && config.keep_trace) {
       result.shard_traces.reserve(shards);
       for (auto& tracer : tracers) {
@@ -554,8 +537,7 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
     obs::ScopedPhase record_span(profiler, record_phase);
     record_span.add_cost(std::uint64_t(config.cluster.warmup_ticks) +
                          std::uint64_t(config.cluster.measure_ticks));
-    record_coop(*recorder, series, config.cell_count, arena,
-                observers.windows);
+    record_coop(*recorder, series, config.cell_count, observers.windows);
   }
   if (config.keep_series) result.cluster_series = std::move(series);
   return result;

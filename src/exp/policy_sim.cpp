@@ -18,7 +18,6 @@
 #include "server/remote_server.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "workload/access.hpp"
 #include "workload/updates.hpp"
 
 namespace mobi::exp {
@@ -29,6 +28,10 @@ PolicySimResult run_policy_sim(const PolicySimConfig& config,
   obs::RequestTracer* tracer = observers.tracer;
   if (config.object_count == 0) {
     throw std::invalid_argument("run_policy_sim: object_count must be >= 1");
+  }
+  if (config.warmup_ticks < 0 || config.measure_ticks < 0) {
+    throw std::invalid_argument(
+        "run_policy_sim: warmup_ticks and measure_ticks must be >= 0");
   }
   if (observers.windows != nullptr && recorder == nullptr) {
     throw std::invalid_argument(
@@ -78,21 +81,9 @@ PolicySimResult run_policy_sim(const PolicySimConfig& config,
     station.set_profiler(profiler);
   }
 
-  std::shared_ptr<const workload::AccessDistribution> access;
-  switch (config.access) {
-    case AccessPattern::kUniform:
-      access = workload::make_uniform_access(config.object_count);
-      break;
-    case AccessPattern::kRankLinear:
-      access = workload::make_rank_linear_access(config.object_count);
-      break;
-    case AccessPattern::kZipf:
-      access = workload::make_zipf_access(config.object_count,
-                                          config.zipf_alpha);
-      break;
-  }
-  workload::RequestGenerator generator(access, config.targets,
-                                       config.requests_per_tick, rng.split());
+  workload::RequestGenerator generator(
+      make_access(config.access, config.object_count, config.zipf_alpha),
+      config.targets, config.requests_per_tick, rng.split());
   auto updates =
       config.staggered_updates
           ? workload::make_periodic_staggered(config.object_count,

@@ -101,7 +101,8 @@ struct SimObservers {
 };
 
 /// Runs one simulation. Throws std::invalid_argument for an empty
-/// catalog, an unknown policy or scorer, or windows without a recorder.
+/// catalog, a negative warm-up or measure tick count, an unknown policy
+/// or scorer, or windows without a recorder.
 PolicySimResult run_policy_sim(const PolicySimConfig& config,
                                const SimObservers& observers = {});
 

@@ -146,6 +146,10 @@ SoakResult run_soak(const SoakConfig& config, util::ThreadPool* pool) {
   if (config.windows == 0) {
     throw std::invalid_argument("run_soak: need >= 1 window");
   }
+  if (config.window_ticks < 0 || config.window_warmup < 0) {
+    throw std::invalid_argument(
+        "run_soak: window_ticks and window_warmup must be >= 0");
+  }
   if (config.fault_rate_lo < 0.0 || config.fault_rate_lo > 1.0 ||
       config.fault_rate_hi < 0.0 || config.fault_rate_hi > 1.0) {
     throw std::invalid_argument("run_soak: fault rates must be in [0, 1]");

@@ -142,7 +142,9 @@ struct SoakResult {
 };
 
 /// Runs the soak. The pool (optional) parallelizes the multi-cell leg's
-/// shards; results are bit-identical for every pool size.
+/// shards; results are bit-identical for every pool size. Throws
+/// std::invalid_argument for an invalid configuration, such as no
+/// windows, a negative window tick count or a rate outside [0, 1].
 SoakResult run_soak(const SoakConfig& config,
                     util::ThreadPool* pool = nullptr);
 

@@ -15,56 +15,9 @@ FixedNetwork::FixedNetwork(double bandwidth, double latency, double contention)
   }
 }
 
-std::vector<double> FixedNetwork::submit_batch(
-    const std::vector<object::Units>& sizes) {
-  const object::Units total =
-      std::accumulate(sizes.begin(), sizes.end(), object::Units{0});
-  std::vector<double> completions;
-  completions.reserve(sizes.size());
-  for (object::Units own : sizes) {
-    if (own < 0) throw std::invalid_argument("FixedNetwork: negative size");
-    const double competing = contention_ * double(total - own);
-    const double time =
-        link_.latency() + (double(own) + competing) / link_.bandwidth();
-    completions.push_back(time);
-    link_.account(own);
-    ++stats_.transfers;
-    stats_.units += own;
-    stats_.total_time += time;
-  }
-  return completions;
-}
-
-void FixedNetwork::record_batch(const std::vector<object::Units>& sizes) {
-  const object::Units total =
-      std::accumulate(sizes.begin(), sizes.end(), object::Units{0});
-  for (object::Units own : sizes) {
-    if (own < 0) throw std::invalid_argument("FixedNetwork: negative size");
-    const double competing = contention_ * double(total - own);
-    const double time =
-        link_.latency() + (double(own) + competing) / link_.bandwidth();
-    link_.account(own);
-    ++stats_.transfers;
-    stats_.units += own;
-    stats_.total_time += time;
-  }
-}
-
-double FixedNetwork::batch_completion_time(
-    const std::vector<object::Units>& sizes) const {
-  if (sizes.empty()) return 0.0;
-  const object::Units total =
-      std::accumulate(sizes.begin(), sizes.end(), object::Units{0});
-  return link_.latency() + double(total) / link_.bandwidth();
-}
-
-double FixedNetwork::record_batch_completion(
-    const std::vector<object::Units>& sizes) {
-  if (sizes.empty()) return 0.0;
-  // One congestion draw per batch; factor 1.0 multiplies exactly, so the
-  // healthy path reproduces batch_completion_time + record_batch bit for
-  // bit (the perf differential suites pin this).
-  const double factor = fault_ ? fault_->draw_fetch_slowdown() : 1.0;
+object::Units FixedNetwork::account_batch(
+    const std::vector<object::Units>& sizes, double factor,
+    std::vector<double>* completions) {
   const object::Units total =
       std::accumulate(sizes.begin(), sizes.end(), object::Units{0});
   for (object::Units own : sizes) {
@@ -73,11 +26,31 @@ double FixedNetwork::record_batch_completion(
     const double time =
         factor *
         (link_.latency() + (double(own) + competing) / link_.bandwidth());
+    if (completions) completions->push_back(time);
     link_.account(own);
     ++stats_.transfers;
     stats_.units += own;
     stats_.total_time += time;
   }
+  return total;
+}
+
+std::vector<double> FixedNetwork::submit_batch(
+    const std::vector<object::Units>& sizes) {
+  std::vector<double> completions;
+  completions.reserve(sizes.size());
+  account_batch(sizes, 1.0, &completions);
+  return completions;
+}
+
+double FixedNetwork::record_batch_completion(
+    const std::vector<object::Units>& sizes) {
+  if (sizes.empty()) return 0.0;
+  // One congestion draw per batch; factor 1.0 multiplies exactly, so the
+  // healthy path reproduces the fault-free times bit for bit (the perf
+  // differential suites pin this).
+  const double factor = fault_ ? fault_->draw_fetch_slowdown() : 1.0;
+  const object::Units total = account_batch(sizes, factor, nullptr);
   const double completion =
       factor * (link_.latency() + double(total) / link_.bandwidth());
   if (tracer_) tracer_->on_net_batch(sizes.size(), completion);

@@ -24,7 +24,7 @@ class FaultInjector;
 struct TransferStats {
   std::uint64_t transfers = 0;
   /// Units pulled from the origin over the fixed network (the only
-  /// source class before coherent peer caching; submit/record_batch
+  /// source class before coherent peer caching; both batch entry points
   /// account here).
   object::Units units = 0;
   /// Units copied from peer base stations over the inter-station link
@@ -49,24 +49,17 @@ class FixedNetwork {
 
   /// Computes per-transfer completion times for a batch submitted
   /// together, updating the running stats. Returns one completion time per
-  /// input size, in order.
+  /// input size, in order. Never consults the fault injector.
   std::vector<double> submit_batch(const std::vector<object::Units>& sizes);
 
-  /// Same accounting as submit_batch (identical stats to the bit), without
-  /// materializing the per-transfer completion vector — the allocation-free
-  /// hot-path entry point for callers that discard the completions.
-  void record_batch(const std::vector<object::Units>& sizes);
-
-  /// Time for the whole batch to finish (the last completion).
-  double batch_completion_time(const std::vector<object::Units>& sizes) const;
-
-  /// record_batch + batch_completion_time fused into one call that
-  /// consults the attached fault injector exactly once per batch: a
-  /// congestion fault multiplies every completion time (stats included)
-  /// by the plan's slowdown factor. With no injector — or an idle one —
-  /// this is bit-identical to calling batch_completion_time followed by
-  /// record_batch, and it is the resilient hot-path entry point
-  /// (allocation-free, like record_batch).
+  /// The station's hot-path entry point: the same accounting as
+  /// submit_batch without materializing the completions (allocation-free),
+  /// returning the time for the whole batch to finish (the last
+  /// completion; 0 for an empty batch). It consults the attached fault
+  /// injector exactly once per non-empty batch: a congestion fault
+  /// multiplies every completion time (stats included) by the plan's
+  /// slowdown factor. With no injector — or an idle one — the stats are
+  /// bit-identical to submit_batch's.
   double record_batch_completion(const std::vector<object::Units>& sizes);
 
   /// Accounts units copied from a peer base station (inter-station link;
@@ -96,6 +89,13 @@ class FixedNetwork {
   double latency() const noexcept { return link_.latency(); }
 
  private:
+  /// Charges each transfer of a batch submitted together to the link and
+  /// the stats, its completion time scaled by `factor`, and appends the
+  /// times to `completions` when it is non-null. Returns the batch's
+  /// total units.
+  object::Units account_batch(const std::vector<object::Units>& sizes,
+                              double factor, std::vector<double>* completions);
+
   Link link_;
   double contention_;
   TransferStats stats_;

@@ -18,8 +18,7 @@ void SeriesRecorder::bind() {
   for (const std::string& name : registry_->scalar_names()) {
     auto it = series_.find(name);
     if (it == series_.end()) {
-      it = series_.emplace(name, Series(util::ArenaAllocator<double>(arena_)))
-               .first;
+      it = series_.emplace(name, Series()).first;
       if (reserve_hint_) it->second.reserve(reserve_hint_);
     }
     Series& values = it->second;

@@ -11,28 +11,16 @@
 
 #include "obs/metrics.hpp"
 #include "sim/tick.hpp"
-#include "util/arena.hpp"
 #include "util/table.hpp"
 
 namespace mobi::obs {
 
 class SeriesRecorder {
  public:
-  /// Series storage type: arena-backed when the recorder was built with
-  /// an arena, plain-heap otherwise (the default allocator falls back to
-  /// operator new). Same element layout either way.
-  using Series = std::vector<double, util::ArenaAllocator<double>>;
+  using Series = std::vector<double>;
 
-  /// The registry must outlive the recorder. With an arena, the tick and
-  /// value series allocate from it (the arena must outlive the recorder);
-  /// the arena's single-thread contract applies — sample() from one
-  /// thread only, which the post-join recording discipline already
-  /// guarantees.
-  explicit SeriesRecorder(MetricsRegistry& registry,
-                          util::MonotonicArena* arena = nullptr)
-      : registry_(&registry),
-        arena_(arena),
-        ticks_(util::ArenaAllocator<sim::Tick>(arena)) {}
+  /// The registry must outlive the recorder.
+  explicit SeriesRecorder(MetricsRegistry& registry) : registry_(&registry) {}
 
   MetricsRegistry& registry() noexcept { return *registry_; }
   const MetricsRegistry& registry() const noexcept { return *registry_; }
@@ -50,10 +38,7 @@ class SeriesRecorder {
   void sample(sim::Tick tick);
 
   std::size_t samples() const noexcept { return ticks_.size(); }
-  const std::vector<sim::Tick, util::ArenaAllocator<sim::Tick>>& ticks()
-      const noexcept {
-    return ticks_;
-  }
+  const std::vector<sim::Tick>& ticks() const noexcept { return ticks_; }
   /// Throws std::out_of_range for a name never sampled.
   const Series& series(const std::string& name) const;
   std::vector<std::string> series_names() const;
@@ -77,9 +62,8 @@ class SeriesRecorder {
   void bind();
 
   MetricsRegistry* registry_;
-  util::MonotonicArena* arena_ = nullptr;
   std::size_t reserve_hint_ = 0;
-  std::vector<sim::Tick, util::ArenaAllocator<sim::Tick>> ticks_;
+  std::vector<sim::Tick> ticks_;
   std::map<std::string, Series> series_;
   std::vector<Binding> bindings_;
   std::size_t bound_size_ = 0;  // registry size() at the last bind()

@@ -26,6 +26,7 @@
 #include "client/cell.hpp"
 #include "coop/cooperative.hpp"
 #include "core/base_station.hpp"
+#include "core/knapsack_parallel.hpp"
 #include "exp/mobility_fleet.hpp"
 #include "exp/multi_cell.hpp"
 #include "exp/soak.hpp"
@@ -38,7 +39,6 @@
 #include "obs/window.hpp"
 #include "object/builders.hpp"
 #include "sim/fault_plan.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/access.hpp"
@@ -191,20 +191,44 @@ TEST(AllocRegression, GreedyPolicySteadyStateIsAllocationFree) {
   run_steady_state("on-demand-knapsack-greedy", false);
 }
 
-TEST(AllocRegression, ParallelBnbPolicySteadyStateIsAllocationFree) {
-  // The parallel engine starts its pool at construction; each solve's
-  // phase 1 is one ThreadPool::run over grow-only scratch and per-slot
-  // deques, so the steady state stays allocation-free even with the B&B
-  // path engaged on every batch (~60-90 distinct candidates, well past
-  // the serial cutoff).
-  run_steady_state("on-demand-knapsack-bnb:2", false);
-}
-
-TEST(AllocRegression, ParallelBnbPolicyFaultySteadyStateIsAllocationFree) {
-  sim::FaultPlan plan;
-  plan.fetch_failure_rate = 0.2;
-  plan.downlink_drop_rate = 0.1;
-  run_steady_state("on-demand-knapsack-bnb:2", false, &plan, 3);
+TEST(AllocRegression, ParallelKnapsackEngineSteadyStateIsAllocationFree) {
+  // The engine starts its pool at construction; each solve's phase 1 is
+  // one ThreadPool::run over grow-only scratch and per-slot deques, so
+  // once the engine and the workspace have seen the largest instance,
+  // further solves allocate nothing. The instances are station-sized
+  // (60-90 items, well past the serial cutoff) and never fit whole, so
+  // every solve reaches the branch-and-bound.
+  util::Rng rng(5);
+  std::vector<std::vector<core::KnapsackItem>> instances(16);
+  for (auto& items : instances) {
+    items.resize(std::size_t(rng.uniform_int(60, 90)));
+    for (auto& item : items) {
+      item.size = object::Units(rng.uniform_int(1, 8));
+      item.profit = 0.5 * double(rng.uniform_int(1, 40));
+    }
+  }
+  constexpr object::Units kCapacity = 64;
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    core::ParallelBnbConfig config;
+    config.threads = threads;
+    core::ParallelKnapsackEngine engine(config);
+    core::KnapsackWorkspace ws;
+    core::KnapsackSolution out;
+    const auto one_pass = [&] {
+      for (const auto& items : instances) {
+        engine.solve(items, kCapacity, ws, out);
+      }
+    };
+    one_pass();  // warm-up
+    const std::uint64_t runs_before = engine.stats().bnb_runs;
+    const std::uint64_t before = g_allocations.load();
+    for (int pass = 0; pass < 3; ++pass) one_pass();
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u)
+        << (after - before) << " steady-state heap allocations";
+    EXPECT_EQ(engine.stats().bnb_runs - runs_before, 3 * instances.size());
+  }
 }
 
 TEST(AllocRegression, IdleInjectorSteadyStateIsAllocationFree) {
@@ -281,36 +305,6 @@ TEST(AllocRegression, CoherentCoopClusterSteadyStateIsAllocationFree) {
     const auto& r = cluster.result();
     EXPECT_GT(r.invalidations + r.propagations + r.lease_expiries, 0u);
   }
-}
-
-TEST(AllocRegression, WarmedArenaReplaySteadyStateIsAllocationFree) {
-  // The fleet cold path's contract: after one horizon run has grown the
-  // arena to its high-water mark, reset() + an identical replay touches
-  // the heap zero times — every vector grab lands in retained slabs.
-  util::MonotonicArena arena(1 << 12);
-  const auto one_run = [&arena] {
-    util::ArenaVector<double> series{util::ArenaAllocator<double>(&arena)};
-    series.reserve(2048);
-    for (int i = 0; i < 2048; ++i) series.push_back(double(i));
-    util::ArenaVector<std::uint64_t> rows{
-        util::ArenaAllocator<std::uint64_t>(&arena)};
-    rows.reserve(512);
-    for (int i = 0; i < 512; ++i) rows.push_back(std::uint64_t(i) * 3);
-    return series.back() + double(rows.back());
-  };
-  one_run();  // warm-up grows the slabs
-  const std::size_t reserved = arena.bytes_reserved();
-  const std::uint64_t before = g_allocations.load();
-  double sum = 0.0;
-  for (int pass = 0; pass < 3; ++pass) {
-    arena.reset();
-    sum += one_run();
-  }
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u)
-      << (after - before) << " steady-state heap allocations";
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_GT(sum, 0.0);
 }
 
 TEST(AllocRegression, ThreadPoolRunIsAllocationFree) {

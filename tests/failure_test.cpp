@@ -1,7 +1,7 @@
-// Failure injection: transient fixed-network faults during fetches, plus
-// the FaultInjector-driven resilience paths — downlink drops mid-transfer,
-// server outages spanning a batch, bounded retry with exponential backoff
-// and the degraded serve it falls back to when retries run out. The
+// Failure injection through net::FaultInjector: transient fixed-network
+// faults during fetches, downlink drops mid-transfer, server outages
+// spanning a batch, bounded retry with exponential backoff and the
+// degraded serve it falls back to when retries run out. The
 // injected-fault metrics (fault.injected.*, bs.fault.*) are asserted
 // against the injected counts.
 #include <gtest/gtest.h>
@@ -20,91 +20,6 @@ workload::RequestBatch requests_for(std::vector<object::ObjectId> ids) {
   workload::ClientId client = 0;
   for (auto id : ids) batch.push_back({id, 1.0, client++});
   return batch;
-}
-
-struct Fixture {
-  object::Catalog catalog;
-  server::ServerPool servers;
-  BaseStation station;
-
-  Fixture(std::size_t n, BaseStationConfig config)
-      : catalog(object::make_uniform_catalog(n, 1)),
-        servers(catalog, 1),
-        station(catalog, servers, cache::make_harmonic_decay(),
-                std::make_unique<ReciprocalScorer>(),
-                make_policy("download-all"), config) {}
-};
-
-TEST(FailureInjection, RateValidation) {
-  BaseStationConfig config;
-  config.fetch_failure_rate = 1.5;
-  EXPECT_THROW(Fixture(2, config), std::invalid_argument);
-  config.fetch_failure_rate = -0.1;
-  EXPECT_THROW(Fixture(2, config), std::invalid_argument);
-}
-
-TEST(FailureInjection, ZeroRateNeverFails) {
-  Fixture fx(10, {});
-  std::vector<object::ObjectId> all;
-  for (object::ObjectId id = 0; id < 10; ++id) all.push_back(id);
-  const auto result = fx.station.process_batch(requests_for(all), 0);
-  EXPECT_EQ(result.failed_fetches, 0u);
-  EXPECT_EQ(result.objects_downloaded, 10u);
-}
-
-TEST(FailureInjection, RateOneFailsEverything) {
-  BaseStationConfig config;
-  config.fetch_failure_rate = 1.0;
-  Fixture fx(5, config);
-  const auto result = fx.station.process_batch(requests_for({0, 1, 2}), 0);
-  EXPECT_EQ(result.failed_fetches, 3u);
-  EXPECT_EQ(result.objects_downloaded, 0u);
-  EXPECT_EQ(result.units_downloaded, 0);
-  // Nothing entered the cache; clients were served "absent" copies.
-  EXPECT_EQ(fx.station.cache().resident(), 0u);
-  EXPECT_DOUBLE_EQ(result.average_score(), 0.5);
-}
-
-TEST(FailureInjection, PartialFailuresDegradeGracefully) {
-  BaseStationConfig config;
-  config.fetch_failure_rate = 0.5;
-  config.failure_seed = 7;
-  Fixture fx(100, config);
-  std::vector<object::ObjectId> all;
-  for (object::ObjectId id = 0; id < 100; ++id) all.push_back(id);
-  const auto result = fx.station.process_batch(requests_for(all), 0);
-  EXPECT_GT(result.failed_fetches, 20u);
-  EXPECT_LT(result.failed_fetches, 80u);
-  EXPECT_EQ(result.failed_fetches + result.objects_downloaded, 100u);
-  EXPECT_EQ(fx.station.cache().resident(), result.objects_downloaded);
-}
-
-TEST(FailureInjection, DeterministicUnderSeed) {
-  BaseStationConfig config;
-  config.fetch_failure_rate = 0.3;
-  config.failure_seed = 99;
-  Fixture a(50, config);
-  Fixture b(50, config);
-  std::vector<object::ObjectId> all;
-  for (object::ObjectId id = 0; id < 50; ++id) all.push_back(id);
-  const auto ra = a.station.process_batch(requests_for(all), 0);
-  const auto rb = b.station.process_batch(requests_for(all), 0);
-  EXPECT_EQ(ra.failed_fetches, rb.failed_fetches);
-  EXPECT_EQ(ra.units_downloaded, rb.units_downloaded);
-}
-
-TEST(FailureInjection, RetryNextTickSucceedsEventually) {
-  BaseStationConfig config;
-  config.fetch_failure_rate = 0.5;
-  config.failure_seed = 3;
-  Fixture fx(1, config);
-  // Stale-only semantics via download-all: keep requesting until cached.
-  bool cached = false;
-  for (sim::Tick t = 0; t < 64 && !cached; ++t) {
-    fx.station.process_batch(requests_for({0}), t);
-    cached = fx.station.cache().contains(0);
-  }
-  EXPECT_TRUE(cached);  // a fair coin cannot lose 64 times under this seed
 }
 
 struct ChaosFixture {
@@ -126,6 +41,76 @@ struct ChaosFixture {
     servers.set_fault_injector(&injector);
   }
 };
+
+// A download-all station whose only fault is the injector's fetch-failure
+// stream at `rate`.
+sim::FaultPlan fetch_failures(double rate, std::uint64_t seed = 1) {
+  sim::FaultPlan plan;
+  plan.fetch_failure_rate = rate;
+  plan.seed = seed;
+  return plan;
+}
+
+std::vector<object::ObjectId> first_ids(std::size_t n) {
+  std::vector<object::ObjectId> ids;
+  for (object::ObjectId id = 0; id < n; ++id) ids.push_back(id);
+  return ids;
+}
+
+TEST(FailureInjection, RateValidation) {
+  EXPECT_THROW(ChaosFixture(2, fetch_failures(1.5)), std::invalid_argument);
+  EXPECT_THROW(ChaosFixture(2, fetch_failures(-0.1)), std::invalid_argument);
+}
+
+TEST(FailureInjection, ZeroRateNeverFails) {
+  ChaosFixture fx(10, fetch_failures(0.0));
+  const auto result = fx.station.process_batch(requests_for(first_ids(10)), 0);
+  EXPECT_EQ(result.failed_fetches, 0u);
+  EXPECT_EQ(result.objects_downloaded, 10u);
+  EXPECT_EQ(fx.injector.counters().fetch_failures, 0u);
+}
+
+TEST(FailureInjection, RateOneFailsEverything) {
+  ChaosFixture fx(5, fetch_failures(1.0));
+  const auto result = fx.station.process_batch(requests_for({0, 1, 2}), 0);
+  EXPECT_EQ(result.failed_fetches, 3u);
+  EXPECT_EQ(result.objects_downloaded, 0u);
+  EXPECT_EQ(result.units_downloaded, 0);
+  // Nothing entered the cache; clients were served "absent" copies.
+  EXPECT_EQ(fx.station.cache().resident(), 0u);
+  EXPECT_DOUBLE_EQ(result.average_score(), 0.5);
+}
+
+TEST(FailureInjection, PartialFailuresDegradeGracefully) {
+  ChaosFixture fx(100, fetch_failures(0.5, 7));
+  const auto result =
+      fx.station.process_batch(requests_for(first_ids(100)), 0);
+  EXPECT_GT(result.failed_fetches, 20u);
+  EXPECT_LT(result.failed_fetches, 80u);
+  EXPECT_EQ(result.failed_fetches + result.objects_downloaded, 100u);
+  EXPECT_EQ(fx.station.cache().resident(), result.objects_downloaded);
+}
+
+TEST(FailureInjection, DeterministicUnderSeed) {
+  ChaosFixture a(50, fetch_failures(0.3, 99));
+  ChaosFixture b(50, fetch_failures(0.3, 99));
+  const auto ra = a.station.process_batch(requests_for(first_ids(50)), 0);
+  const auto rb = b.station.process_batch(requests_for(first_ids(50)), 0);
+  EXPECT_GT(ra.failed_fetches, 0u);
+  EXPECT_EQ(ra.failed_fetches, rb.failed_fetches);
+  EXPECT_EQ(ra.units_downloaded, rb.units_downloaded);
+}
+
+TEST(FailureInjection, RetryNextTickSucceedsEventually) {
+  ChaosFixture fx(1, fetch_failures(0.5, 3));
+  // Stale-only semantics via download-all: keep requesting until cached.
+  bool cached = false;
+  for (sim::Tick t = 0; t < 64 && !cached; ++t) {
+    fx.station.process_batch(requests_for({0}), t);
+    cached = fx.station.cache().contains(0);
+  }
+  EXPECT_TRUE(cached);  // a fair coin cannot lose 64 times under this seed
+}
 
 TEST(ChaosInjection, DownlinkDropMidTransferIsCountedAndConserved) {
   sim::FaultPlan plan;
@@ -290,16 +275,13 @@ TEST(ChaosInjection, FaultMetricsMatchInjectedCounts) {
   EXPECT_EQ(registry.scalar_value("bs.downlink.dropped_units"),
             double(fx.station.downlink().dropped_total()));
   // Every injected fetch failure is a failed fetch at the station (the
-  // station also counts legacy-stream and outage failures; neither is
-  // active in this plan).
+  // station also counts outage failures, which this plan does not open).
   EXPECT_EQ(totals.failed_fetches,
             std::size_t(fx.injector.counters().fetch_failures));
 }
 
 TEST(FailureInjection, FailedFetchStillServesStaleCopy) {
-  BaseStationConfig config;
-  config.fetch_failure_rate = 1.0;  // every remote fetch faults
-  Fixture fx(1, config);
+  ChaosFixture fx(1, fetch_failures(1.0));  // every remote fetch faults
   // Seed the cache directly, then stale it: the client must be served the
   // decayed copy since the re-fetch cannot succeed.
   fx.station.cache().refresh(0, fx.servers.fetch(0), 0);

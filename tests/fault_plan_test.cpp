@@ -165,7 +165,6 @@ TEST(FaultInjector, IdleInjectorIsBitIdenticalToNoInjector) {
   core::BaseStationConfig config;
   config.download_budget = 25;
   config.downlink_capacity = 30;
-  config.fetch_failure_rate = 0.2;  // legacy stream must stay untouched too
   const auto make_station = [&](server::ServerPool& servers) {
     return core::BaseStation(catalog, servers, cache::make_harmonic_decay(),
                              std::make_unique<core::ReciprocalScorer>(),

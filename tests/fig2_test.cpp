@@ -122,6 +122,23 @@ TEST(Fig2, RejectsNonPositiveUpdatePeriod) {
   }
 }
 
+// A negative measure window would turn the analytic async bound negative
+// and the on-demand volume into zero, so both entry points reject a
+// negative tick count up front.
+TEST(Fig2, RejectsNegativeTickCounts) {
+  auto warmup = small_config();
+  warmup.request_rates = {10};
+  warmup.warmup_ticks = -1;
+  auto measure = small_config();
+  measure.request_rates = {10};
+  measure.measure_ticks = -50;
+  for (const Fig2Config& config : {warmup, measure}) {
+    EXPECT_THROW(run_fig2(config), std::invalid_argument);
+    EXPECT_THROW(run_fig2_once(config, AccessPattern::kZipf, 10),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Fig2, PatternNames) {
   EXPECT_STREQ(access_pattern_name(AccessPattern::kUniform), "uniform");
   EXPECT_STREQ(access_pattern_name(AccessPattern::kRankLinear), "rank-linear");

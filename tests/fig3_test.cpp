@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/thread_pool.hpp"
 
 namespace mobi::exp {
@@ -82,6 +84,19 @@ TEST(Fig3, ParallelSweepMatchesSerial) {
                      serial.points[i].on_demand_recency);
     EXPECT_DOUBLE_EQ(parallel.points[i].async_recency,
                      serial.points[i].async_recency);
+  }
+}
+
+// A negative measure window would report recency 0 for every budget, so
+// both entry points reject a negative tick count up front.
+TEST(Fig3, RejectsNegativeTickCounts) {
+  auto warmup = small_config(10);
+  warmup.warmup_ticks = -1;
+  auto measure = small_config(10);
+  measure.measure_ticks = -60;
+  for (const Fig3Config& config : {warmup, measure}) {
+    EXPECT_THROW(run_fig3(config), std::invalid_argument);
+    EXPECT_THROW(run_fig3_once(config, 5, true), std::invalid_argument);
   }
 }
 

@@ -149,51 +149,6 @@ TEST(GoldenRun, PolicySimTracedMatchesPinnedNumbers) {
             registry.find_counter("bs.fetches")->value());
 }
 
-// PolicySimEndToEnd rerun with the parallel B&B knapsack engine (1, 2 and
-// 8 threads): the engine's selection-identity contract means every pinned
-// headline number — including the 1e-12 doubles — must reproduce exactly,
-// independent of thread count. A drift here means the B&B tie-break no
-// longer matches the DP's canonical (mask-minimal) solution.
-TEST(GoldenRun, PolicySimParallelBnbMatchesPinnedNumbers) {
-  exp::PolicySimConfig config;
-  config.object_count = 40;
-  config.requests_per_tick = 20;
-  config.warmup_ticks = 10;
-  config.measure_ticks = 50;
-  config.budget = 10;
-  config.update_period = 3;
-  config.seed = 42;
-
-  for (const char* policy : {"on-demand-knapsack-bnb:1",
-                             "on-demand-knapsack-bnb:2",
-                             "on-demand-knapsack-bnb:8"}) {
-    SCOPED_TRACE(policy);
-    config.policy = policy;
-    obs::MetricsRegistry registry;
-    obs::SeriesRecorder recorder(registry);
-    const exp::PolicySimResult result =
-      exp::run_policy_sim(config, {.recorder = &recorder});
-
-    EXPECT_EQ(result.requests, 1000u);
-    EXPECT_EQ(result.objects_downloaded, 136u);
-    EXPECT_EQ(result.units_downloaded, 474);
-    EXPECT_NEAR(result.average_score, 0.839606412546541, 1e-12);
-    EXPECT_NEAR(result.average_recency, 0.67717036564226973, 1e-12);
-    EXPECT_NEAR(result.jain_fairness, 0.94515082641098813, 1e-12);
-
-    EXPECT_EQ(registry.find_counter("bs.requests")->value(), 1200u);
-    EXPECT_EQ(registry.find_counter("bs.hits")->value(), 1022u);
-    EXPECT_EQ(registry.find_counter("bs.fetches")->value(), 166u);
-    EXPECT_EQ(registry.find_counter("bs.units_downloaded")->value(), 570u);
-    // The engine's own counter family is live under the station prefix
-    // (schedule-dependent node/steal counts deliberately unpinned).
-    EXPECT_EQ(registry.find_counter("bs.knapsack.parallel.solves")->value(),
-              registry.find_counter("bs.knapsack.parallel.shortcut_solves")->value() +
-                  registry.find_counter("bs.knapsack.parallel.bnb_runs")->value());
-    EXPECT_GT(registry.find_counter("bs.knapsack.parallel.solves")->value(), 0u);
-  }
-}
-
 TEST(GoldenRun, MultiCellAggregates) {
   exp::MultiCellConfig config;
   config.cell_count = 4;

@@ -48,10 +48,15 @@ TEST_P(PolicyFuzzTest, InvariantsHoldUnderRandomWorkloads) {
             : -1;
     config.downlink_capacity = rng.uniform_int(1, 50);
     config.coalesce_downlink = rng.bernoulli(0.5);
-    config.fetch_failure_rate = rng.bernoulli(0.3) ? 0.2 : 0.0;
+    // About three runs in ten see transient fetch faults.
+    sim::FaultPlan plan;
+    plan.fetch_failure_rate = rng.bernoulli(0.3) ? 0.2 : 0.0;
+    plan.seed = seed;
+    net::FaultInjector injector(plan);
     BaseStation station(catalog, servers, cache::make_harmonic_decay(),
                         std::make_unique<ReciprocalScorer>(),
                         make_policy(param.policy), config);
+    station.set_fault_injector(&injector);
 
     workload::RequestGenerator generator(
         workload::make_zipf_access(n, rng.uniform(0.0, 1.5)),
@@ -143,7 +148,6 @@ TEST_P(PolicyFuzzTest, InvariantsHoldUnderChaosFaultPlans) {
             : -1;
     config.downlink_capacity = rng.uniform_int(1, 50);
     config.coalesce_downlink = rng.bernoulli(0.5);
-    config.fetch_failure_rate = rng.bernoulli(0.3) ? 0.2 : 0.0;
     config.fetch_retry_limit = std::size_t(rng.uniform_int(0, 3));
     BaseStation station(catalog, servers, cache::make_harmonic_decay(),
                         std::make_unique<ReciprocalScorer>(),
@@ -204,7 +208,7 @@ TEST_P(PolicyFuzzTest, InvariantsHoldUnderChaosFaultPlans) {
                   station.downlink().dropped_total())
         << param.policy << " seed " << seed;
     // The station's failure count covers every injected fetch failure
-    // (legacy bernoulli faults may add more on top).
+    // (outage windows may add more on top).
     ASSERT_GE(totals.failed_fetches, injector.counters().fetch_failures);
     ASSERT_EQ(injector.counters().downlink_drops > 0,
               station.downlink().dropped_total() > 0);

@@ -151,7 +151,6 @@ TEST(KnapsackParallel, WordBoundaryCapacities) {
 
 TEST(KnapsackParallel, DpKernelsBitIdentical) {
   using detail::DpKernel;
-  ASSERT_NE(detail::active_dp_kernel(), DpKernel::kAuto);
   util::Rng rng(1337);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = std::size_t(rng.uniform_int(0, 40));
@@ -164,7 +163,8 @@ TEST(KnapsackParallel, DpKernelsBitIdentical) {
     const auto ref_values = detail::WorkspaceAccess::values(ref_ws);
     const auto ref_bits = detail::WorkspaceAccess::take_bits(ref_ws);
 
-    for (DpKernel kernel : {DpKernel::kWordParallel, DpKernel::kWordParallelAvx2}) {
+    for (DpKernel kernel : {DpKernel::kAuto, DpKernel::kWordParallel,
+                            DpKernel::kWordParallelAvx2}) {
       if (!detail::dp_kernel_supported(kernel)) continue;
       KnapsackWorkspace ws;
       detail::dp_fill(items, cap, ws, row_words, kernel);
@@ -174,22 +174,6 @@ TEST(KnapsackParallel, DpKernelsBitIdentical) {
           << "trial " << trial << " kernel " << int(kernel);
     }
   }
-}
-
-TEST(KnapsackParallel, SetDpKernelSwitchesAndRestores) {
-  using detail::DpKernel;
-  const DpKernel before = detail::active_dp_kernel();
-  detail::set_dp_kernel(DpKernel::kScalar);
-  EXPECT_EQ(detail::active_dp_kernel(), DpKernel::kScalar);
-  // A solve through the scalar kernel still matches the fleet default.
-  const std::vector<KnapsackItem> items{{3, 4.5}, {2, 3.0}, {4, 6.0}, {1, 0.5}};
-  const KnapsackSolution scalar = solve_dp(items, 6);
-  detail::set_dp_kernel(DpKernel::kAuto);  // restore the best kernel
-  EXPECT_NE(detail::active_dp_kernel(), DpKernel::kScalar);
-  const KnapsackSolution fast = solve_dp(items, 6);
-  expect_same(fast, scalar, "kernel switch");
-  EXPECT_THROW(detail::set_dp_kernel(DpKernel(99)), std::invalid_argument);
-  EXPECT_EQ(detail::active_dp_kernel(), before);
 }
 
 // ---------------------------------------------------------------------------

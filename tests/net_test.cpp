@@ -63,8 +63,9 @@ TEST(FixedNetwork, PartialContention) {
 
 TEST(FixedNetwork, BatchCompletionTime) {
   FixedNetwork network(10.0, 1.0, 1.0);
-  EXPECT_DOUBLE_EQ(network.batch_completion_time({20, 30}), 6.0);
-  EXPECT_DOUBLE_EQ(network.batch_completion_time({}), 0.0);
+  EXPECT_DOUBLE_EQ(network.record_batch_completion({20, 30}), 6.0);
+  EXPECT_DOUBLE_EQ(network.record_batch_completion({}), 0.0);
+  EXPECT_EQ(network.stats().transfers, 2u);  // the empty batch adds none
 }
 
 TEST(FixedNetwork, StatsAccumulate) {
@@ -225,15 +226,14 @@ TEST(WirelessDownlink, IdleInjectorIsBitIdenticalToDetached) {
 }
 
 TEST(FixedNetwork, RecordBatchCompletionMatchesLegacyPairWithoutFaults) {
-  FixedNetwork legacy(10.0, 2.0, 0.5);
-  FixedNetwork fused(10.0, 2.0, 0.5);
+  FixedNetwork submitted(10.0, 2.0, 0.5);
+  FixedNetwork recorded(10.0, 2.0, 0.5);
   const std::vector<object::Units> sizes{4, 6, 10};
-  const double expected = legacy.batch_completion_time(sizes);
-  legacy.record_batch(sizes);
-  EXPECT_EQ(fused.record_batch_completion(sizes), expected);
-  EXPECT_EQ(fused.stats().transfers, legacy.stats().transfers);
-  EXPECT_EQ(fused.stats().units, legacy.stats().units);
-  EXPECT_EQ(fused.stats().total_time, legacy.stats().total_time);
+  submitted.submit_batch(sizes);
+  EXPECT_EQ(recorded.record_batch_completion(sizes), 2.0 + 20 / 10.0);
+  EXPECT_EQ(recorded.stats().transfers, submitted.stats().transfers);
+  EXPECT_EQ(recorded.stats().units, submitted.stats().units);
+  EXPECT_EQ(recorded.stats().total_time, submitted.stats().total_time);
 }
 
 TEST(FixedNetwork, CongestionFaultStretchesTheWholeBatch) {

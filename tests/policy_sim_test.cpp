@@ -123,6 +123,18 @@ TEST(PolicySim, RejectsEmptyCatalog) {
   }
 }
 
+// A negative tick count is rejected before any work: a negative measure
+// window would report no requests at all, and a negative warm-up would
+// quietly measure fewer ticks than asked for.
+TEST(PolicySim, RejectsNegativeTickCounts) {
+  auto warmup = small_config();
+  warmup.warmup_ticks = -3;
+  EXPECT_THROW(run_policy_sim(warmup), std::invalid_argument);
+  auto measure = small_config();
+  measure.measure_ticks = -2;
+  EXPECT_THROW(run_policy_sim(measure), std::invalid_argument);
+}
+
 TEST(PolicySim, FairnessMetricsAreCoherent) {
   const auto result = run_policy_sim(small_config());
   EXPECT_GT(result.jain_fairness, 0.0);

@@ -85,8 +85,7 @@ TEST(OnDemandKnapsack, EmptyBatchSelectsNothing) {
 }
 
 TEST(OnDemandKnapsack, AllSolversAgreeOnEasyInstance) {
-  for (auto solver : {KnapsackSolver::kExactDp, KnapsackSolver::kGreedy,
-                      KnapsackSolver::kFptas}) {
+  for (auto solver : {KnapsackSolver::kExactDp, KnapsackSolver::kGreedy}) {
     World world({2, 3});
     OnDemandKnapsackPolicy policy(solver);
     const auto selected =

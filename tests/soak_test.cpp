@@ -63,6 +63,12 @@ TEST(Soak, RejectsBadConfiguration) {
   SoakConfig sample = quick_config();
   sample.trace_sample_every = 0;
   EXPECT_THROW(run_soak(sample), std::invalid_argument);
+  SoakConfig ticks = quick_config();
+  ticks.window_ticks = -5;
+  EXPECT_THROW(run_soak(ticks), std::invalid_argument);
+  SoakConfig warmup = quick_config();
+  warmup.window_warmup = -1;
+  EXPECT_THROW(run_soak(warmup), std::invalid_argument);
 }
 
 // A trace file that cannot be written fails the run, naming the file,
