@@ -5,6 +5,20 @@
 
 namespace mobi::cache {
 
+void InvalidationReport::add(object::ObjectId object, std::uint32_t updates) {
+  if (!items_.empty() && object <= items_.back().object) {
+    throw std::invalid_argument(
+        "InvalidationReport: items must be in strictly ascending id");
+  }
+  items_.push_back(Item{object, updates});
+}
+
+void InvalidationReport::reset(sim::Tick window_start, sim::Tick window_end) {
+  window_start_ = window_start;
+  window_end_ = window_end;
+  items_.clear();
+}
+
 InvalidationLog::InvalidationLog(std::size_t object_count)
     : object_count_(object_count), updates_(object_count) {}
 
@@ -28,17 +42,13 @@ InvalidationReport InvalidationLog::make_report(sim::Tick from,
 void InvalidationLog::make_report_into(sim::Tick from, sim::Tick to,
                                        InvalidationReport& out) const {
   if (from > to) throw std::invalid_argument("InvalidationLog: from > to");
-  out.window_start = from;
-  out.window_end = to;
-  out.items.clear();
+  out.reset(from, to);
   for (object::ObjectId id = 0; id < object_count_; ++id) {
     const auto& history = updates_[id];
     const auto lo = std::lower_bound(history.begin(), history.end(), from);
     const auto hi = std::lower_bound(history.begin(), history.end(), to);
     const auto count = std::uint32_t(hi - lo);
-    if (count > 0) {
-      out.items.push_back(InvalidationReport::Item{id, count});
-    }
+    if (count > 0) out.add(id, count);
   }
 }
 
@@ -49,63 +59,38 @@ void InvalidationLog::prune(sim::Tick before) {
   }
 }
 
-InvalidationSink make_sink(Cache& cache) {
-  InvalidationSink sink;
-  sink.object_count = [&cache] { return cache.object_count(); };
-  sink.contains = [&cache](object::ObjectId id) { return cache.contains(id); };
-  sink.decay = [&cache](object::ObjectId id) { cache.on_server_update(id); };
-  sink.drop = [&cache](object::ObjectId id) { cache.evict(id); };
-  return sink;
-}
-
-InvalidationSink make_sink(BoundedCache& cache) {
-  InvalidationSink sink;
-  sink.object_count = [&cache] { return cache.inner().object_count(); };
-  sink.contains = [&cache](object::ObjectId id) { return cache.contains(id); };
-  sink.decay = [&cache](object::ObjectId id) { cache.on_server_update(id); };
-  sink.drop = [&cache](object::ObjectId id) { cache.evict(id); };
-  return sink;
-}
-
-InvalidationListener::InvalidationListener(Cache& cache)
-    : InvalidationListener(make_sink(cache)) {}
-
-InvalidationListener::InvalidationListener(BoundedCache& cache)
-    : InvalidationListener(make_sink(cache)) {}
-
-InvalidationListener::InvalidationListener(InvalidationSink sink)
-    : sink_(std::move(sink)) {
-  if (!sink_.object_count || !sink_.contains || !sink_.decay || !sink_.drop) {
-    throw std::invalid_argument("InvalidationListener: incomplete sink");
-  }
-}
-
-int InvalidationListener::apply(const InvalidationReport& report) {
-  if (report.window_end < report.window_start) {
+int InvalidationListener::apply(const InvalidationReport& report,
+                                BoundedCache& cache) {
+  if (report.window_end() < report.window_start()) {
     throw std::invalid_argument("InvalidationListener: bad report window");
   }
   // Sleeper rule: a gap between the last report heard and this one means
   // we may have missed invalidations — nothing cached can be trusted.
-  if (heard_any_ && report.window_start > last_end_) {
-    const std::size_t n = sink_.object_count();
-    for (object::ObjectId id = 0; id < n; ++id) sink_.drop(id);
+  if (heard_any_ && report.window_start() > last_end_) {
+    cache.clear();
     ++drops_;
-    last_end_ = report.window_end;
+    last_end_ = report.window_end();
     ++applied_;
     // The report's own contents are irrelevant: the cache is empty now.
     return -1;
   }
+  // Residents and items are both in ascending id, so each resident's
+  // search starts where the previous one ended. on_server_update only
+  // rewrites a resident's recency, so the walk's references stay valid.
+  const auto before = [](const InvalidationReport::Item& item,
+                         object::ObjectId id) { return item.object < id; };
   int decayed = 0;
-  for (const auto& item : report.items) {
-    for (std::uint32_t k = 0; k < item.updates; ++k) {
-      if (sink_.contains(item.object)) {
-        sink_.decay(item.object);
-        ++decayed;
-      }
-    }
+  const auto& items = report.items();
+  auto from = items.begin();
+  for (const Residency& resident : cache.residents()) {
+    from = std::lower_bound(from, items.end(), resident.id, before);
+    if (from == items.end()) break;
+    if (from->object != resident.id) continue;
+    cache.on_server_update(resident.id, from->updates);
+    decayed += int(from->updates);
   }
   heard_any_ = true;
-  last_end_ = std::max(last_end_, report.window_end);
+  last_end_ = std::max(last_end_, report.window_end());
   ++applied_;
   return decayed;
 }

@@ -36,35 +36,61 @@ ReplacementPolicy recency_profit_policy() {
       }};
 }
 
+namespace {
+
+// The most objects `capacity` can hold at once: every resident is at least
+// the catalog's smallest object, and no object is resident twice.
+std::size_t resident_bound(const object::Catalog& catalog,
+                           object::Units capacity) {
+  const auto& sizes = catalog.sizes();
+  if (sizes.empty()) return 0;
+  const object::Units smallest = *std::min_element(sizes.begin(), sizes.end());
+  return std::min(sizes.size(), std::size_t(capacity / smallest));
+}
+
+}  // namespace
+
 BoundedCache::BoundedCache(const object::Catalog& catalog,
                            std::shared_ptr<const DecayModel> decay,
                            object::Units capacity, ReplacementPolicy policy)
     : catalog_(&catalog),
       cache_(catalog.size(), std::move(decay)),
       capacity_(capacity),
-      policy_(std::move(policy)),
-      residency_(catalog.size()) {
+      policy_(std::move(policy)) {
   if (capacity <= 0) {
     throw std::invalid_argument("BoundedCache: capacity must be > 0");
   }
   if (!policy_.priority) {
     throw std::invalid_argument("BoundedCache: policy has no priority fn");
   }
+  residents_.reserve(resident_bound(catalog, capacity));
+}
+
+std::vector<Residency>::iterator BoundedCache::lower_bound(
+    object::ObjectId id) {
+  return std::lower_bound(
+      residents_.begin(), residents_.end(), id,
+      [](const Residency& r, object::ObjectId key) { return r.id < key; });
+}
+
+Residency* BoundedCache::find(object::ObjectId id) {
+  const auto it = lower_bound(id);
+  return it != residents_.end() && it->id == id ? &*it : nullptr;
 }
 
 bool BoundedCache::admit(object::ObjectId id, const server::FetchResult& fetch,
                          sim::Tick now, double recency) {
   const object::Units size = catalog_->object_size(id);
   if (size > capacity_) return false;
-  if (cache_.contains(id)) {
+  if (Residency* meta = find(id)) {
     // Refresh in place: size already accounted.
     cache_.refresh(id, fetch, now, recency);
-    residency_[id]->recency = recency;
+    meta->recency = recency;
     return true;
   }
   evict_until_fits(size, now);
   cache_.refresh(id, fetch, now, recency);
-  residency_[id] = Residency{id, size, recency, now, 0};
+  residents_.insert(lower_bound(id), Residency{id, size, recency, now, 0});
   used_ += size;
   return true;
 }
@@ -73,7 +99,7 @@ std::optional<double> BoundedCache::read(object::ObjectId id, sim::Tick now) {
   cache_.record_read(id);
   const auto score = cache_.recency(id);
   if (score) {
-    auto& meta = residency_[id];
+    Residency* meta = find(id);
     meta->last_access = now;
     ++meta->access_count;
     meta->recency = *score;
@@ -81,48 +107,46 @@ std::optional<double> BoundedCache::read(object::ObjectId id, sim::Tick now) {
   return score;
 }
 
-void BoundedCache::on_server_update(object::ObjectId id) {
-  cache_.on_server_update(id);
-  if (auto& meta = residency_[id]) {
-    meta->recency = cache_.recency(id).value_or(meta->recency);
-  }
+void BoundedCache::on_server_update(object::ObjectId id,
+                                    std::uint32_t updates) {
+  if (!cache_.contains(id)) return;
+  for (std::uint32_t k = 0; k < updates; ++k) cache_.on_server_update(id);
+  find(id)->recency = *cache_.recency(id);
 }
 
 bool BoundedCache::evict(object::ObjectId id) {
   if (!cache_.evict(id)) return false;
-  used_ -= residency_[id]->size;
-  residency_[id].reset();
+  const auto it = lower_bound(id);
+  used_ -= it->size;
+  residents_.erase(it);
   return true;
 }
 
-std::vector<Residency> BoundedCache::residents() const {
-  std::vector<Residency> result;
-  result.reserve(cache_.resident());
-  for (const auto& meta : residency_) {
-    if (meta) result.push_back(*meta);
-  }
-  return result;
+void BoundedCache::clear() {
+  for (const Residency& meta : residents_) cache_.evict(meta.id);
+  residents_.clear();
+  used_ = 0;
 }
 
 void BoundedCache::evict_until_fits(object::Units need, sim::Tick now) {
   while (capacity_ - used_ < need) {
-    // Select the resident entry with the highest eviction priority.
+    // Select the resident entry with the highest eviction priority; the
+    // strict `>` over ascending ids breaks ties toward the lowest id.
     double best_priority = -std::numeric_limits<double>::infinity();
-    std::optional<object::ObjectId> victim;
-    for (const auto& meta : residency_) {
-      if (!meta) continue;
-      const double priority = policy_.priority(*meta, now);
+    auto victim = residents_.end();
+    for (auto it = residents_.begin(); it != residents_.end(); ++it) {
+      const double priority = policy_.priority(*it, now);
       if (priority > best_priority) {
         best_priority = priority;
-        victim = meta->id;
+        victim = it;
       }
     }
-    if (!victim) {
+    if (victim == residents_.end()) {
       throw std::logic_error("BoundedCache: no victim but cache is full");
     }
-    used_ -= residency_[*victim]->size;
-    residency_[*victim].reset();
-    cache_.evict(*victim);
+    used_ -= victim->size;
+    cache_.evict(victim->id);
+    residents_.erase(victim);
     ++evictions_;
   }
 }

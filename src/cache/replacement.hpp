@@ -14,6 +14,7 @@
 //                       knowledge of server updates" exactly as §6 asks).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -49,6 +50,12 @@ ReplacementPolicy recency_profit_policy();
 
 /// A capacity-limited cache front. Tracks residency and sizes; the actual
 /// recency/version state lives in the wrapped Cache.
+///
+/// The residents live in one vector in ascending id order, reserved at
+/// construction to the most objects the capacity can hold (capacity over
+/// the catalog's smallest size, at most the catalog), so it never grows.
+/// Lookups binary-search it and victim selection scans it, so both cost
+/// what the cache holds rather than the catalog size.
 class BoundedCache {
  public:
   BoundedCache(const object::Catalog& catalog,
@@ -75,15 +82,25 @@ class BoundedCache {
   /// the copy served, or nullopt on miss.
   std::optional<double> read(object::ObjectId id, sim::Tick now);
 
-  void on_server_update(object::ObjectId id);
+  /// Notification that the master of `id` changed `updates` times; decays
+  /// the cached copy once per update (no-op if not cached).
+  void on_server_update(object::ObjectId id, std::uint32_t updates = 1);
 
   /// Drops the entry for `id` (no-op when absent), releasing its space.
   bool evict(object::ObjectId id);
 
+  /// Drops every resident (the sleeper rule). Not counted in evictions().
+  void clear();
+
   const Cache& inner() const noexcept { return cache_; }
-  std::vector<Residency> residents() const;
+  /// The resident entries, in ascending id order.
+  const std::vector<Residency>& residents() const noexcept {
+    return residents_;
+  }
 
  private:
+  std::vector<Residency>::iterator lower_bound(object::ObjectId id);
+  Residency* find(object::ObjectId id);
   void evict_until_fits(object::Units need, sim::Tick now);
 
   const object::Catalog* catalog_;
@@ -91,7 +108,7 @@ class BoundedCache {
   object::Units capacity_;
   object::Units used_ = 0;
   ReplacementPolicy policy_;
-  std::vector<std::optional<Residency>> residency_;
+  std::vector<Residency> residents_;  // ascending id; never reallocates
   std::uint64_t evictions_ = 0;
 };
 

@@ -66,7 +66,7 @@ CellEngine::CellEngine(const CellConfig& config,
   batch_.reserve(population);
   requester_.reserve(population);
   in_flight_.reserve(population * std::size_t(delivery_ticks_ + 1));
-  report_.items.reserve(config.object_count);
+  report_.reserve(config.object_count);
 }
 
 void CellEngine::set_tracer(obs::RequestTracer* tracer) {

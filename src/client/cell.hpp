@@ -107,12 +107,10 @@ using CellSeries = std::vector<CellResult>;
 
 /// One base station and the clients resident in its cell, stepped one
 /// tick at a time. The catalog, access distribution and client vector
-/// belong to the caller and must outlive the engine; the client vector
-/// must never reallocate (each client's invalidation listener holds the
-/// address of its own cache). Engines over one client vector share one
-/// `credited` vector, so a client's counters are credited exactly once
-/// however it moves. Not copyable or movable: the station holds
-/// references into the engine.
+/// belong to the caller and must outlive the engine. Engines over one
+/// client vector share one `credited` vector, so a client's counters are
+/// credited exactly once however it moves. Not copyable or movable: the
+/// station holds references into the engine.
 class CellEngine {
  public:
   /// Sleeper-drop and handoff counts last credited to a cell, per client.

@@ -10,8 +10,7 @@ MobileClient::MobileClient(std::uint32_t id, const object::Catalog& catalog,
     : id_(id),
       config_(config),
       cache_(catalog, cache::make_harmonic_decay(), config.cache_units,
-             cache::lru_policy()),
-      listener_(cache_) {
+             cache::lru_policy()) {
   if (config.disconnect_rate < 0.0 || config.disconnect_rate > 1.0 ||
       config.reconnect_rate < 0.0 || config.reconnect_rate > 1.0) {
     throw std::invalid_argument("MobileClient: rates must be in [0, 1]");
@@ -71,7 +70,7 @@ int MobileClient::hear_report(const cache::InvalidationReport& report) {
   if (!connected()) {
     throw std::logic_error("MobileClient: disconnected clients hear nothing");
   }
-  return listener_.apply(report);
+  return listener_.apply(report, cache_);
 }
 
 }  // namespace mobi::client

@@ -50,9 +50,7 @@ MobilityFleet::MobilityFleet(const MultiCellConfig& config)
                         config_.cell.zipf_alpha);
   ticks_ = config_.cell.ticks;
 
-  // Global ids in cell-major order; the client vector is reserved once
-  // and never reallocates (each client's invalidation listener holds the
-  // address of its own cache).
+  // Global ids in cell-major order.
   clients_.reserve(total);
   std::vector<std::uint32_t> home;
   home.reserve(total);

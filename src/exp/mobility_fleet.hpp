@@ -10,9 +10,7 @@
 //     per-cell ServerPools stay version-consistent because the staggered
 //     update process (deterministic, RNG-free) is applied identically in
 //     each cell.
-//   * ONE stable client vector, global ids, constructed once and never
-//     reallocated (MobileClient's invalidation listener captures the
-//     address of its own cache — the object must not move). Cells hold
+//   * ONE client vector, global ids, constructed once. Cells hold
 //     rosters of ids; migration moves ids, never objects.
 //   * Per-cell streams (connectivity, requests, faults) seeded with the
 //     same position-addressable shard_seed discipline as the sharded
@@ -158,7 +156,7 @@ class MobilityFleet {
   MultiCellConfig config_;
   object::Catalog catalog_;
   std::shared_ptr<const workload::AccessDistribution> access_;
-  std::vector<client::MobileClient> clients_;  // stable; never reallocates
+  std::vector<client::MobileClient> clients_;
   std::vector<client::CellEngine::Credit> credited_;
   std::vector<std::unique_ptr<client::CellEngine>> cells_;
 

@@ -75,8 +75,8 @@ class Rng {
     return lo + (hi - lo) * uniform();
   }
 
-  /// Uniform integer in the inclusive range [lo, hi]. Uses Lemire's
-  /// nearly-divisionless bounded sampling; unbiased.
+  /// Uniform integer in the inclusive range [lo, hi]; unbiased (see
+  /// bounded()).
   std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi) noexcept {
     const std::uint64_t span = hi - lo + 1;  // span==0 means the full range
     if (span == 0) return next();
@@ -121,8 +121,13 @@ class Rng {
   }
 
   /// Unbiased sample from [0, bound). Precondition: bound > 0.
+  ///
+  /// Threshold-and-modulo rejection: draws below 2^64 mod bound are
+  /// redrawn and the first other one is reduced mod bound, so every call
+  /// costs two 64-bit divisions. Lemire's nearly-divisionless method would
+  /// avoid them, but it maps draws to values differently, so switching
+  /// would move every random stream and with it every golden.
   std::uint64_t bounded(std::uint64_t bound) noexcept {
-    // Rejection sampling on the top of the range to remove modulo bias.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
       const std::uint64_t r = next();

@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "cache/decay.hpp"
+#include "cache/invalidation.hpp"
+#include "cache/replacement.hpp"
 #include "client/cell.hpp"
 #include "coop/cooperative.hpp"
 #include "core/base_station.hpp"
@@ -427,6 +429,45 @@ TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
       EXPECT_GT(fleet.stats().crossings, warm_crossings);
     }
   }
+}
+
+TEST(AllocRegression, ClientCacheAllocationFreeFromConstruction) {
+  // A client cache reserves its resident list at construction to the
+  // most objects its capacity can hold, so it allocates nothing from the
+  // first admit on: no warm-up here, and a reserve below the 20-entry
+  // bound shows up as growth while filling.
+  const auto catalog = object::make_uniform_catalog(200, 1);
+  cache::BoundedCache cache(catalog, cache::make_harmonic_decay(), 20,
+                            cache::lru_policy());
+  cache::InvalidationListener listener;
+  // Reports are built before counting; the listener only reads them.
+  cache::InvalidationReport first(0, 10), next(10, 20), late(30, 40);
+  for (object::ObjectId id = 0; id < 200; id += 3) {
+    first.add(id, 1);
+    next.add(id, 2);
+  }
+  const server::FetchResult fetched{1, 0, 1};
+  const std::uint64_t before = g_allocations.load();
+  for (object::ObjectId id = 0; id < 20; ++id) cache.admit(id, fetched, 0);
+  const std::size_t peak = cache.residents().size();
+  listener.apply(first, cache);
+  sim::Tick t = 1;
+  for (object::ObjectId id = 20; id < 200; ++id, ++t) {
+    cache.admit(id, fetched, t);  // a full cache: each admit evicts
+    cache.read(object::ObjectId(id - 5), t);
+  }
+  listener.apply(next, cache);
+  listener.apply(late, cache);  // a missed window: the sleeper rule fires
+  for (object::ObjectId id = 0; id < 40; ++id, ++t) {
+    cache.admit(id, fetched, t);
+  }
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations from the first admit";
+  EXPECT_EQ(peak, 20u);
+  EXPECT_EQ(cache.residents().size(), 20u);
+  EXPECT_GE(cache.evictions(), 180u);
+  EXPECT_EQ(listener.cache_drops(), 1u);
 }
 
 TEST(AllocRegression, ShardedCellSteadyStateIsAllocationFree) {

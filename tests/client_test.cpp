@@ -95,18 +95,38 @@ TEST(MobileClient, HearsReportsAndDecays) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
   client.store(2, fetched(), 0);
-  cache::InvalidationReport report{0, 5, {{2, 1}}};
+  cache::InvalidationReport report(0, 5);
+  report.add(2, 1);
   EXPECT_EQ(client.hear_report(report), 1);
   EXPECT_DOUBLE_EQ(*client.lookup(2, 6), 0.5);
+}
+
+TEST(MobileClient, CopyHearsReportsIntoItsOwnCache) {
+  // A copy's listener must decay the copy's cache, not the original's, so
+  // a client vector may reallocate without rewiring anything.
+  const auto catalog = small_catalog();
+  MobileClient a(0, catalog, {});
+  a.store(0, fetched(), 0);
+  MobileClient b = a;
+  cache::InvalidationReport report(0, 5);
+  report.add(0, 1);
+  EXPECT_EQ(b.hear_report(report), 1);
+  EXPECT_DOUBLE_EQ(*b.local_cache().recency(0), 0.5);
+  EXPECT_DOUBLE_EQ(*a.local_cache().recency(0), 1.0);
+  // ...and the sleeper rule drops only the copy's cache.
+  EXPECT_EQ(b.hear_report(cache::InvalidationReport(10, 15)), -1);
+  EXPECT_FALSE(b.local_cache().contains(0));
+  EXPECT_TRUE(a.local_cache().contains(0));
+  EXPECT_EQ(a.sleeper_drops(), 0u);
 }
 
 TEST(MobileClient, SleeperRuleDropsLocalCache) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
   client.store(2, fetched(), 0);
-  client.hear_report(cache::InvalidationReport{0, 5, {}});
+  client.hear_report(cache::InvalidationReport(0, 5));
   // Missed [5, 10); hears [10, 15): everything local is untrustworthy.
-  EXPECT_EQ(client.hear_report(cache::InvalidationReport{10, 15, {}}), -1);
+  EXPECT_EQ(client.hear_report(cache::InvalidationReport(10, 15)), -1);
   EXPECT_FALSE(client.lookup(2, 16).has_value());
   EXPECT_EQ(client.sleeper_drops(), 1u);
 }
@@ -118,7 +138,7 @@ TEST(MobileClient, DisconnectedClientCannotHear) {
   MobileClient client(0, catalog, config);
   util::Rng rng(3);
   client.step_connectivity(rng);
-  EXPECT_THROW(client.hear_report(cache::InvalidationReport{0, 1, {}}),
+  EXPECT_THROW(client.hear_report(cache::InvalidationReport(0, 1)),
                std::logic_error);
 }
 

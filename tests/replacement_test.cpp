@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "cache/invalidation.hpp"
 #include "object/builders.hpp"
+#include "util/rng.hpp"
 
 namespace mobi::cache {
 namespace {
@@ -174,6 +182,300 @@ TEST(BoundedCache, ChurnNeverExceedsCapacity) {
     cache.admit(id, fetched(server::Version(t)), t);
     ASSERT_LE(cache.used(), 20);
   }
+}
+
+// Ties: the victim scan runs in ascending id with a strict `>`, so among
+// equal priorities the lowest id is evicted, whatever the admission order.
+
+TEST(BoundedCache, LruTieEvictsLowestId) {
+  const auto catalog = object::make_uniform_catalog(4, 4);
+  BoundedCache cache(catalog, make_harmonic_decay(), 8, lru_policy());
+  cache.admit(2, fetched(), 3);
+  cache.admit(1, fetched(), 3);  // same last_access as 2
+  cache.admit(3, fetched(), 5);
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
+TEST(BoundedCache, LfuTieEvictsLowestId) {
+  const auto catalog = object::make_uniform_catalog(4, 4);
+  BoundedCache cache(catalog, make_harmonic_decay(), 8, lfu_policy());
+  cache.admit(2, fetched(), 0);
+  cache.admit(1, fetched(), 1);
+  cache.read(1, 2);
+  cache.read(2, 3);  // one access each
+  cache.admit(3, fetched(), 4);
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(2));
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
+TEST(BoundedCache, SizeAwareTieEvictsLowestId) {
+  const auto catalog = object::Catalog({2, 4, 4, 4});
+  BoundedCache cache(catalog, make_harmonic_decay(), 10,
+                     size_aware_policy());
+  cache.admit(2, fetched(), 0);
+  cache.admit(0, fetched(), 1);
+  cache.admit(1, fetched(), 2);  // 1 and 2 share the largest size
+  cache.admit(3, fetched(), 3);
+  EXPECT_TRUE(cache.contains(0));
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(2));
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
+TEST(BoundedCache, RecencyProfitTieEvictsLowestId) {
+  const auto catalog = object::make_uniform_catalog(4, 2);
+  BoundedCache cache(catalog, make_harmonic_decay(), 4,
+                     recency_profit_policy());
+  cache.admit(2, fetched(), 0);
+  cache.admit(1, fetched(), 1);
+  cache.read(2, 2);
+  cache.read(1, 3);
+  cache.on_server_update(1);
+  cache.on_server_update(2);  // equal popularity, recency and size
+  cache.admit(3, fetched(), 4);
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(2));
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
+// The oracle for the differential fuzz below: a bounded cache and listener
+// laid out one slot per catalog object, victims picked by a scan over every
+// slot in id order, each reported update probed one at a time, and the
+// sleeper rule dropping every catalog id.
+class SlotPerObjectCache {
+ public:
+  SlotPerObjectCache(const object::Catalog& catalog, object::Units capacity,
+                     ReplacementPolicy policy)
+      : catalog_(&catalog),
+        cache_(catalog.size(), make_harmonic_decay()),
+        capacity_(capacity),
+        policy_(std::move(policy)),
+        slots_(catalog.size()) {}
+
+  bool admit(object::ObjectId id, const server::FetchResult& fetch,
+             sim::Tick now, double recency) {
+    const object::Units size = catalog_->object_size(id);
+    if (size > capacity_) return false;
+    if (cache_.contains(id)) {
+      cache_.refresh(id, fetch, now, recency);
+      slots_[id]->recency = recency;
+      return true;
+    }
+    while (capacity_ - used_ < size) {
+      double best = -std::numeric_limits<double>::infinity();
+      std::optional<object::ObjectId> victim;
+      for (const auto& slot : slots_) {
+        if (!slot) continue;
+        const double priority = policy_.priority(*slot, now);
+        if (priority > best) {
+          best = priority;
+          victim = slot->id;
+        }
+      }
+      used_ -= slots_[*victim]->size;
+      slots_[*victim].reset();
+      cache_.evict(*victim);
+      ++evictions_;
+    }
+    cache_.refresh(id, fetch, now, recency);
+    slots_[id] = Residency{id, size, recency, now, 0};
+    used_ += size;
+    return true;
+  }
+
+  std::optional<double> read(object::ObjectId id, sim::Tick now) {
+    cache_.record_read(id);
+    const auto score = cache_.recency(id);
+    if (score) {
+      slots_[id]->last_access = now;
+      ++slots_[id]->access_count;
+      slots_[id]->recency = *score;
+    }
+    return score;
+  }
+
+  void on_server_update(object::ObjectId id) {
+    cache_.on_server_update(id);
+    if (auto& slot = slots_[id]) slot->recency = *cache_.recency(id);
+  }
+
+  bool evict(object::ObjectId id) {
+    if (!cache_.evict(id)) return false;
+    used_ -= slots_[id]->size;
+    slots_[id].reset();
+    return true;
+  }
+
+  int apply(const InvalidationReport& report) {
+    if (heard_any_ && report.window_start() > last_end_) {
+      for (object::ObjectId id = 0; id < slots_.size(); ++id) evict(id);
+      ++drops_;
+      last_end_ = report.window_end();
+      return -1;
+    }
+    int decayed = 0;
+    for (const auto& item : report.items()) {
+      for (std::uint32_t k = 0; k < item.updates; ++k) {
+        if (cache_.contains(item.object)) {
+          on_server_update(item.object);
+          ++decayed;
+        }
+      }
+    }
+    heard_any_ = true;
+    last_end_ = std::max(last_end_, report.window_end());
+    return decayed;
+  }
+
+  std::vector<Residency> residents() const {
+    std::vector<Residency> result;
+    for (const auto& slot : slots_) {
+      if (slot) result.push_back(*slot);
+    }
+    return result;
+  }
+
+  const Cache& inner() const { return cache_; }
+  object::Units used() const { return used_; }
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t drops() const { return drops_; }
+
+ private:
+  const object::Catalog* catalog_;
+  Cache cache_;
+  object::Units capacity_;
+  object::Units used_ = 0;
+  ReplacementPolicy policy_;
+  std::vector<std::optional<Residency>> slots_;
+  std::uint64_t evictions_ = 0;
+  sim::Tick last_end_ = 0;
+  bool heard_any_ = false;
+  std::uint64_t drops_ = 0;
+};
+
+::testing::AssertionResult same_state(const BoundedCache& cache,
+                                      const InvalidationListener& listener,
+                                      const SlotPerObjectCache& oracle) {
+  if (cache.used() != oracle.used()) {
+    return ::testing::AssertionFailure()
+           << "used " << cache.used() << " vs " << oracle.used();
+  }
+  if (cache.evictions() != oracle.evictions()) {
+    return ::testing::AssertionFailure()
+           << "evictions " << cache.evictions() << " vs "
+           << oracle.evictions();
+  }
+  if (listener.cache_drops() != oracle.drops()) {
+    return ::testing::AssertionFailure() << "cache_drops differ";
+  }
+  for (object::ObjectId id = 0; id < cache.inner().object_count(); ++id) {
+    if (cache.contains(id) != oracle.inner().contains(id) ||
+        cache.recency(id) != oracle.inner().recency(id)) {
+      return ::testing::AssertionFailure() << "object " << id << " differs";
+    }
+  }
+  const auto expected = oracle.residents();
+  const auto& actual = cache.residents();
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure()
+           << actual.size() << " residents vs " << expected.size();
+  }
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const Residency& a = actual[i];
+    const Residency& e = expected[i];
+    if (a.id != e.id || a.size != e.size || a.recency != e.recency ||
+        a.last_access != e.last_access || a.access_count != e.access_count) {
+      return ::testing::AssertionFailure() << "resident " << i << " differs";
+    }
+  }
+  const CacheStats& as = cache.inner().stats();
+  const CacheStats& es = oracle.inner().stats();
+  if (as.hits != es.hits || as.misses != es.misses ||
+      as.refreshes != es.refreshes || as.decays != es.decays) {
+    return ::testing::AssertionFailure() << "inner stats differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BoundedCache, MatchesSlotPerObjectOracleUnderRandomSteps) {
+  util::Rng rng(20260);
+  const auto catalog = object::make_random_catalog(24, 1, 8, rng);
+  const ReplacementPolicy policies[] = {lru_policy(), lfu_policy(),
+                                        size_aware_policy(),
+                                        recency_profit_policy()};
+  const auto pick = [&](std::uint64_t n) {
+    return std::size_t(rng.uniform_u64(0, n - 1));
+  };
+  std::uint64_t evictions = 0, drops = 0;
+  for (const auto& policy : policies) {
+    for (object::Units capacity = 1; capacity <= 40; ++capacity) {
+      BoundedCache cache(catalog, make_harmonic_decay(), capacity, policy);
+      InvalidationListener listener;
+      SlotPerObjectCache oracle(catalog, capacity, policy);
+      sim::Tick report_end = 0;
+      sim::Tick now = 0;
+      for (int steps = 0; steps < 200; ++steps) {
+        now += sim::Tick(pick(2));  // some steps share a tick: LRU ties
+        const auto id = object::ObjectId(pick(catalog.size()));
+        std::string step;
+        switch (pick(6)) {
+          case 0: {
+            step = "admit";
+            const double recency = pick(2) ? 1.0 : rng.uniform(0.05, 1.0);
+            const server::FetchResult fetch{server::Version(now), now, 1};
+            ASSERT_EQ(cache.admit(id, fetch, now, recency),
+                      oracle.admit(id, fetch, now, recency));
+            break;
+          }
+          case 1:
+            step = "read";
+            ASSERT_EQ(cache.read(id, now), oracle.read(id, now));
+            break;
+          case 2:
+            step = "on_server_update";
+            cache.on_server_update(id);
+            oracle.on_server_update(id);
+            break;
+          case 3:
+            step = "evict";
+            ASSERT_EQ(cache.evict(id), oracle.evict(id));
+            break;
+          default: {
+            // A contiguous report, or (one time in three) one after a
+            // gap, which fires the sleeper rule once a report was heard.
+            const bool gap = pick(3) == 0;
+            step = gap ? "sleeper gap" : "report";
+            const sim::Tick start =
+                report_end + (gap ? 1 + sim::Tick(pick(4)) : 0);
+            report_end = start + 1 + sim::Tick(pick(5));
+            InvalidationReport report(start, report_end);
+            for (object::ObjectId object = 0; object < catalog.size();
+                 ++object) {
+              if (pick(3) == 0) {
+                report.add(object, 1 + std::uint32_t(pick(3)));
+              }
+            }
+            ASSERT_EQ(listener.apply(report, cache), oracle.apply(report))
+                << "policy " << policy.name << " capacity " << capacity
+                << " tick " << now;
+            break;
+          }
+        }
+        ASSERT_TRUE(same_state(cache, listener, oracle))
+            << "policy " << policy.name << " capacity " << capacity
+            << " tick " << now << " after " << step;
+      }
+      evictions += cache.evictions();
+      drops += listener.cache_drops();
+    }
+  }
+  // The steps really reached replacement and the sleeper rule.
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(drops, 0u);
 }
 
 }  // namespace
