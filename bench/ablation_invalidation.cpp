@@ -31,14 +31,11 @@ int main(int argc, char** argv) {
     util::Rng rng(seed);
     const object::Catalog catalog = object::make_random_catalog(n, 1, 8, rng);
     server::ServerPool servers(catalog, 1);
-    // `believed`: decayed only when a report arrives (what the policy sees);
-    // its capacity holds the whole catalog, so nothing is ever evicted.
+    // `believed`: decayed only when a report arrives (what the policy sees).
     // `truth`: decayed on every update (what clients actually experience).
-    cache::BoundedCache believed(catalog, cache::make_harmonic_decay(),
-                                 catalog.total_size(), cache::lru_policy());
+    cache::Cache believed(n, cache::make_harmonic_decay());
     cache::Cache truth(n, cache::make_harmonic_decay());
     cache::InvalidationLog log(n);
-    cache::InvalidationListener listener;
     core::ReciprocalScorer scorer;
     core::OnDemandKnapsackPolicy policy;
     auto updates = workload::make_periodic_staggered(n, 3);
@@ -55,21 +52,28 @@ int main(int argc, char** argv) {
         truth.on_server_update(id);
         log.record_update(id, t);
       });
+      // Reports are contiguous, so a listener's sleeper rule never fires:
+      // each reported update decays the believed copy once.
       if (t > 0 && t % report_period == 0) {
-        listener.apply(log.make_report(t - report_period, t), believed);
+        const auto report = log.make_report(t - report_period, t);
+        for (const auto& item : report.items()) {
+          for (std::uint32_t k = 0; k < item.updates; ++k) {
+            believed.on_server_update(item.object);
+          }
+        }
       }
 
       const auto batch = generator.next_batch();
       core::PolicyContext ctx;
       ctx.catalog = &catalog;
-      ctx.cache = &believed.inner();  // the policy acts on reported knowledge
+      ctx.cache = &believed;  // the policy acts on reported knowledge
       ctx.servers = &servers;
       ctx.scorer = &scorer;
       ctx.now = t;
       ctx.budget = budget;
       for (object::ObjectId id : policy.select(batch, ctx)) {
         const auto fetch = servers.fetch(id);
-        believed.admit(id, fetch, t);
+        believed.refresh(id, fetch, t);
         truth.refresh(id, fetch, t);
         if (t >= warmup) downloaded += fetch.size;
       }
@@ -77,7 +81,7 @@ int main(int argc, char** argv) {
         for (const auto& request : batch) {
           const double x_true = truth.recency_or_zero(request.object);
           true_score += scorer.score(x_true, request.target_recency);
-          gap += believed.inner().recency_or_zero(request.object) - x_true;
+          gap += believed.recency_or_zero(request.object) - x_true;
           ++scored;
         }
       }

@@ -1,12 +1,19 @@
 // Google-benchmark microbenchmarks for the cache layer: unbounded cache
-// operations, bounded-cache admission under each replacement policy, and
-// invalidation report generation/application.
+// operations, bounded-cache admission under each replacement policy, the
+// fleets' client cache (reads and admits, and a report that lists every
+// object), and invalidation report generation.
+//
+//   $ ./micro_cache --benchmark_filter=ClientCache --benchmark_min_time=0.01
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "cache/invalidation.hpp"
 #include "cache/replacement.hpp"
 #include "object/builders.hpp"
 #include "util/rng.hpp"
+#include "workload/access.hpp"
 
 namespace {
 
@@ -45,15 +52,66 @@ void BM_BoundedCacheAdmit(benchmark::State& state) {
   const auto& policy = policies[std::size_t(state.range(0))];
   cache::BoundedCache store(catalog, cache::make_harmonic_decay(), 512,
                             policy);
-  const server::FetchResult fetched{1, 0, 1};
   std::size_t i = 0;
   sim::Tick t = 0;
   for (auto _ : state) {
-    store.admit(object::ObjectId((i += 37) % 2048), fetched, t++);
+    store.admit(object::ObjectId((i += 37) % 2048), t++);
   }
-  state.SetLabel(policy.name);
+  state.SetLabel(std::string(policy.name));
 }
 BENCHMARK(BM_BoundedCacheAdmit)->DenseRange(0, 3);
+
+// The client cache every fleet cell holds: 20 units of LRU over a
+// 200-object catalog of 1-8-unit objects, about four residents at a time.
+constexpr std::size_t kClientObjects = 200;
+constexpr object::Units kClientUnits = 20;
+
+cache::BoundedCache client_cache(const object::Catalog& catalog) {
+  return cache::BoundedCache(catalog, cache::make_harmonic_decay(),
+                             kClientUnits, cache::lru_policy());
+}
+
+// One client request as a cell serves it: a local read, and on a miss the
+// copy the base station relays is admitted. Ids are drawn zipf(1.0), the
+// cells' access pattern, ahead of the loop.
+void BM_ClientCacheReadAdmit(benchmark::State& state) {
+  util::Rng rng(1);
+  const auto catalog = object::make_random_catalog(kClientObjects, 1, 8, rng);
+  auto store = client_cache(catalog);
+  const auto access = workload::make_zipf_access(kClientObjects, 1.0);
+  std::vector<object::ObjectId> ids(4096);
+  for (auto& id : ids) id = access->sample(rng);
+  std::size_t i = 0;
+  sim::Tick t = 0;
+  for (auto _ : state) {
+    const object::ObjectId id = ids[i++ % ids.size()];
+    const auto local = store.read(id, t);
+    benchmark::DoNotOptimize(local);
+    if (!local) benchmark::DoNotOptimize(store.admit(id, t));
+    ++t;
+  }
+}
+BENCHMARK(BM_ClientCacheReadAdmit);
+
+// A report that lists every object, which is what a fleet client hears:
+// objects update every 4 ticks and reports cover 5, so each window holds
+// every id. Reapplying one window is an overlap, never a sleeper gap.
+void BM_ClientCacheApplyFullReport(benchmark::State& state) {
+  util::Rng rng(1);
+  const auto catalog = object::make_random_catalog(kClientObjects, 1, 8, rng);
+  auto store = client_cache(catalog);
+  for (object::ObjectId id = 0; id < kClientObjects; id += 37) {
+    store.admit(id, 0);
+  }
+  cache::InvalidationReport report(0, 5);
+  for (object::ObjectId id = 0; id < kClientObjects; ++id) report.add(id, 1);
+  cache::InvalidationListener listener;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(listener.apply(report, store));
+  }
+  state.counters["residents"] = double(store.residents().size());
+}
+BENCHMARK(BM_ClientCacheApplyFullReport);
 
 void BM_InvalidationReport(benchmark::State& state) {
   const auto n = std::size_t(state.range(0));

@@ -36,14 +36,29 @@ struct ProxyOutcome {
   std::uint64_t evictions = 0;
 };
 
+/// Makes `view` hold exactly the proxy's residents, at their recencies.
+void mirror(const cache::BoundedCache& proxy_cache, cache::Cache& view,
+            sim::Tick now) {
+  for (object::ObjectId id = 0; id < view.object_count(); ++id) {
+    view.evict(id);
+  }
+  for (const auto& resident : proxy_cache.residents()) {
+    view.refresh(resident.id, server::FetchResult{}, now, resident.recency);
+  }
+}
+
 /// One proxy run: bounded cache + per-tick knapsack refresh budget.
 ProxyOutcome run_proxy(const object::Catalog& catalog,
                        const workload::Trace& trace, sim::Tick ticks,
                        object::Units cache_units,
                        cache::ReplacementPolicy policy) {
   server::ServerPool origins(catalog, 4);
-  cache::BoundedCache proxy_cache(catalog, cache::make_harmonic_decay(),
-                                  cache_units, policy);
+  const std::shared_ptr<const cache::DecayModel> decay =
+      cache::make_harmonic_decay();
+  cache::BoundedCache proxy_cache(catalog, decay, cache_units, policy);
+  // build_candidates reads recencies from a per-catalog Cache; this one
+  // mirrors the proxy's residents before each solve.
+  cache::Cache view(catalog.size(), decay);
   auto page_updates = workload::make_periodic_staggered(catalog.size(), 8);
   core::ReciprocalScorer scorer;
   const object::Units refresh_budget = 40;
@@ -62,8 +77,8 @@ ProxyOutcome run_proxy(const object::Catalog& catalog,
     const auto batch = trace.batch_at(t);
     // Decide which requested pages to revalidate at the origin: knapsack
     // over profit computed against the bounded cache's recency state.
-    const auto set =
-        core::build_candidates(batch, catalog, proxy_cache.inner(), scorer);
+    mirror(proxy_cache, view, t);
+    const auto set = core::build_candidates(batch, catalog, view, scorer);
     std::vector<core::KnapsackItem> items;
     for (const auto& cand : set.candidates) {
       items.push_back(core::KnapsackItem{cand.size, cand.profit});
@@ -71,7 +86,7 @@ ProxyOutcome run_proxy(const object::Catalog& catalog,
     const auto solution = core::solve_dp(items, refresh_budget);
     for (std::size_t index : solution.chosen) {
       const auto id = set.candidates[index].object;
-      proxy_cache.admit(id, origins.fetch(id), t);
+      proxy_cache.admit(id, t);
       outcome.bytes_from_origin += catalog.object_size(id);
     }
 
@@ -84,7 +99,7 @@ ProxyOutcome run_proxy(const object::Catalog& catalog,
         score_sum += scorer.score(*recency, request.target_recency);
       } else {
         // Miss: fetch on demand (compulsory traffic), serve fresh.
-        proxy_cache.admit(request.object, origins.fetch(request.object), t);
+        proxy_cache.admit(request.object, t);
         outcome.bytes_from_origin += catalog.object_size(request.object);
         score_sum += 1.0;
       }

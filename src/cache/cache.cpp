@@ -45,13 +45,6 @@ void Cache::on_server_update(object::ObjectId id) {
   if (metrics_) inst_.decays->add();
 }
 
-std::optional<double> Cache::recency(object::ObjectId id) const {
-  check(id);
-  const auto& slot = entries_[id];
-  if (!slot) return std::nullopt;
-  return slot->recency;
-}
-
 std::optional<server::Version> Cache::version(object::ObjectId id) const {
   check(id);
   const auto& slot = entries_[id];

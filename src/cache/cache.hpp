@@ -64,7 +64,12 @@ class Cache {
   void on_server_update(object::ObjectId id);
 
   /// Recency score of the cached copy; nullopt if not cached.
-  std::optional<double> recency(object::ObjectId id) const;
+  std::optional<double> recency(object::ObjectId id) const {
+    check(id);
+    const auto& slot = entries_[id];
+    if (!slot) return std::nullopt;
+    return slot->recency;
+  }
   /// Recency treating "not cached" as 0 (useful for profit computations).
   double recency_or_zero(object::ObjectId id) const {
     check(id);

@@ -75,18 +75,18 @@ int InvalidationListener::apply(const InvalidationReport& report,
     return -1;
   }
   // Residents and items are both in ascending id, so each resident's
-  // search starts where the previous one ended. on_server_update only
-  // rewrites a resident's recency, so the walk's references stay valid.
+  // search starts where the previous one ended, and a listed resident is
+  // decayed where it stands.
   const auto before = [](const InvalidationReport::Item& item,
                          object::ObjectId id) { return item.object < id; };
   int decayed = 0;
   const auto& items = report.items();
   auto from = items.begin();
-  for (const Residency& resident : cache.residents()) {
+  for (Residency& resident : cache.residents_) {
     from = std::lower_bound(from, items.end(), resident.id, before);
     if (from == items.end()) break;
     if (from->object != resident.id) continue;
-    cache.on_server_update(resident.id, from->updates);
+    cache.decay(resident, from->updates);
     decayed += int(from->updates);
   }
   heard_any_ = true;

@@ -153,9 +153,7 @@ void CellEngine::tick(sim::Tick t) {
     const auto recency = station_.cache().recency(request.object);
     if (!recency) continue;  // base had nothing either (cache-only policy)
     if (instant) {
-      clients_[requester_[r]].store(request.object,
-                                    servers_.fetch(request.object), t,
-                                    *recency);
+      clients_[requester_[r]].store(request.object, t, *recency);
     } else {
       in_flight_.push_back(Delivery{requester_[r], request.object, *recency,
                                     t + delivery_ticks_});
@@ -204,8 +202,7 @@ void CellEngine::land_deliveries(sim::Tick t) {
       ++lost_;
       continue;
     }
-    mobile.store(delivery.object, servers_.fetch(delivery.object), t,
-                 delivery.recency);
+    mobile.store(delivery.object, t, delivery.recency);
     result_.score_sum +=
         landing_scorer_.score(delivery.recency, mobile.target_recency());
     ++delivered_;

@@ -61,9 +61,8 @@ std::optional<double> MobileClient::lookup(object::ObjectId id,
   return recency;
 }
 
-void MobileClient::store(object::ObjectId id, const server::FetchResult& fetch,
-                         sim::Tick now, double recency) {
-  cache_.admit(id, fetch, now, recency);
+void MobileClient::store(object::ObjectId id, sim::Tick now, double recency) {
+  cache_.admit(id, now, recency);
 }
 
 int MobileClient::hear_report(const cache::InvalidationReport& report) {

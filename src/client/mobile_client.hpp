@@ -75,8 +75,7 @@ class MobileClient {
   /// Stores a copy received from the base station. `recency` is the copy's
   /// recency score at receipt; 1.0 when the base station relayed a fresh
   /// copy, lower when it served its own stale cache entry.
-  void store(object::ObjectId id, const server::FetchResult& fetch,
-             sim::Tick now, double recency = 1.0);
+  void store(object::ObjectId id, sim::Tick now, double recency = 1.0);
 
   /// Hears an invalidation report (only meaningful while connected).
   /// Returns -1 if the sleeper rule dropped the local cache.

@@ -446,21 +446,18 @@ TEST(AllocRegression, ClientCacheAllocationFreeFromConstruction) {
     first.add(id, 1);
     next.add(id, 2);
   }
-  const server::FetchResult fetched{1, 0, 1};
   const std::uint64_t before = g_allocations.load();
-  for (object::ObjectId id = 0; id < 20; ++id) cache.admit(id, fetched, 0);
+  for (object::ObjectId id = 0; id < 20; ++id) cache.admit(id, 0);
   const std::size_t peak = cache.residents().size();
   listener.apply(first, cache);
   sim::Tick t = 1;
   for (object::ObjectId id = 20; id < 200; ++id, ++t) {
-    cache.admit(id, fetched, t);  // a full cache: each admit evicts
+    cache.admit(id, t);  // a full cache: each admit evicts
     cache.read(object::ObjectId(id - 5), t);
   }
   listener.apply(next, cache);
   listener.apply(late, cache);  // a missed window: the sleeper rule fires
-  for (object::ObjectId id = 0; id < 40; ++id, ++t) {
-    cache.admit(id, fetched, t);
-  }
+  for (object::ObjectId id = 0; id < 40; ++id, ++t) cache.admit(id, t);
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations from the first admit";
@@ -468,6 +465,23 @@ TEST(AllocRegression, ClientCacheAllocationFreeFromConstruction) {
   EXPECT_EQ(cache.residents().size(), 20u);
   EXPECT_GE(cache.evictions(), 180u);
   EXPECT_EQ(listener.cache_drops(), 1u);
+}
+
+TEST(AllocRegression, ClientCacheConstructionMakesOneAllocation) {
+  // The fleets' client shape: 20 units over 200 objects of 1-8 units. The
+  // resident list is the cache's only storage; nothing is sized by the
+  // catalog.
+  util::Rng rng(1);
+  const auto catalog = object::make_random_catalog(200, 1, 8, rng);
+  const std::shared_ptr<const cache::DecayModel> decay =
+      cache::make_harmonic_decay();
+  const cache::ReplacementPolicy policy = cache::lru_policy();
+  const std::uint64_t before = g_allocations.load();
+  const cache::BoundedCache cache(catalog, decay, 20, policy);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 1u)
+      << (after - before) << " heap allocations to construct";
+  EXPECT_EQ(cache.capacity(), 20);
 }
 
 TEST(AllocRegression, ShardedCellSteadyStateIsAllocationFree) {

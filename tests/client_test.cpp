@@ -10,10 +10,6 @@ namespace {
 
 object::Catalog small_catalog() { return object::make_uniform_catalog(10, 2); }
 
-server::FetchResult fetched(server::Version version = 1) {
-  return server::FetchResult{version, 0, 2};
-}
-
 TEST(MobileClient, ConfigValidation) {
   const auto catalog = small_catalog();
   MobileClientConfig config;
@@ -40,7 +36,7 @@ TEST(MobileClient, StartsConnectedAndEmpty) {
 TEST(MobileClient, StoreAndLookup) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
-  client.store(3, fetched(), 0);
+  client.store(3, 0);
   const auto recency = client.lookup(3, 1);
   ASSERT_TRUE(recency.has_value());
   EXPECT_DOUBLE_EQ(*recency, 1.0);
@@ -50,7 +46,7 @@ TEST(MobileClient, StoreAndLookup) {
 TEST(MobileClient, StoreInheritsRelayedRecency) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
-  client.store(3, fetched(), 0, 0.5);
+  client.store(3, 0, 0.5);
   EXPECT_DOUBLE_EQ(*client.lookup(3, 1), 0.5);
 }
 
@@ -59,9 +55,9 @@ TEST(MobileClient, LocalCacheIsBounded) {
   MobileClientConfig config;
   config.cache_units = 4;  // room for two objects
   MobileClient client(0, catalog, config);
-  client.store(0, fetched(), 0);
-  client.store(1, fetched(), 1);
-  client.store(2, fetched(), 2);
+  client.store(0, 0);
+  client.store(1, 1);
+  client.store(2, 2);
   EXPECT_LE(client.local_cache().used(), 4);
   EXPECT_TRUE(client.lookup(2, 3).has_value());
 }
@@ -94,7 +90,7 @@ TEST(MobileClient, NeverDisconnectsAtRateZero) {
 TEST(MobileClient, HearsReportsAndDecays) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
-  client.store(2, fetched(), 0);
+  client.store(2, 0);
   cache::InvalidationReport report(0, 5);
   report.add(2, 1);
   EXPECT_EQ(client.hear_report(report), 1);
@@ -106,7 +102,7 @@ TEST(MobileClient, CopyHearsReportsIntoItsOwnCache) {
   // a client vector may reallocate without rewiring anything.
   const auto catalog = small_catalog();
   MobileClient a(0, catalog, {});
-  a.store(0, fetched(), 0);
+  a.store(0, 0);
   MobileClient b = a;
   cache::InvalidationReport report(0, 5);
   report.add(0, 1);
@@ -123,7 +119,7 @@ TEST(MobileClient, CopyHearsReportsIntoItsOwnCache) {
 TEST(MobileClient, SleeperRuleDropsLocalCache) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
-  client.store(2, fetched(), 0);
+  client.store(2, 0);
   client.hear_report(cache::InvalidationReport(0, 5));
   // Missed [5, 10); hears [10, 15): everything local is untrustworthy.
   EXPECT_EQ(client.hear_report(cache::InvalidationReport(10, 15)), -1);

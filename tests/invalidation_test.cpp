@@ -93,8 +93,8 @@ TEST(InvalidationReport, RejectsRepeatedId) {
 TEST(InvalidationListener, AppliesDecayPerReportedUpdate) {
   const object::Catalog catalog({1, 1, 1});
   auto cache = whole_catalog_cache(catalog);
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 0);
+  cache.admit(0, 0);
+  cache.admit(1, 0);
   InvalidationListener listener;
 
   InvalidationReport report(0, 5);
@@ -104,7 +104,7 @@ TEST(InvalidationListener, AppliesDecayPerReportedUpdate) {
   EXPECT_EQ(decayed, 2);
   EXPECT_NEAR(*cache.recency(0), 1.0 / 3.0, 1e-12);  // two decays
   EXPECT_DOUBLE_EQ(*cache.recency(1), 1.0);          // untouched
-  EXPECT_EQ(cache.inner().stats().decays, 2u);
+  EXPECT_EQ(cache.stats().decays, 2u);
   EXPECT_EQ(listener.reports_applied(), 1u);
   EXPECT_EQ(listener.last_heard_end(), 5);
 }
@@ -112,7 +112,7 @@ TEST(InvalidationListener, AppliesDecayPerReportedUpdate) {
 TEST(InvalidationListener, ContiguousReportsKeepCache) {
   const object::Catalog catalog({1});
   auto cache = whole_catalog_cache(catalog);
-  cache.admit(0, fetched(), 0);
+  cache.admit(0, 0);
   InvalidationListener listener;
   listener.apply(InvalidationReport(0, 5), cache);
   listener.apply(InvalidationReport(5, 10), cache);
@@ -123,8 +123,8 @@ TEST(InvalidationListener, ContiguousReportsKeepCache) {
 TEST(InvalidationListener, SleeperRuleDropsCacheOnGap) {
   const object::Catalog catalog({1, 1});
   auto cache = whole_catalog_cache(catalog);
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 0);
+  cache.admit(0, 0);
+  cache.admit(1, 0);
   InvalidationListener listener;
   listener.apply(InvalidationReport(0, 5), cache);
   // Missed the [5, 10) report entirely; next heard is [10, 15).
@@ -140,7 +140,7 @@ TEST(InvalidationListener, SleeperRuleDropsCacheOnGap) {
 TEST(InvalidationListener, FirstReportNeverTriggersSleeperRule) {
   const object::Catalog catalog({1});
   auto cache = whole_catalog_cache(catalog);
-  cache.admit(0, fetched(), 0);
+  cache.admit(0, 0);
   InvalidationListener listener;
   // First heard report starts late — but there is no established history,
   // so the cache survives (this models "tuned in for the first time").
@@ -152,7 +152,7 @@ TEST(InvalidationListener, FirstReportNeverTriggersSleeperRule) {
 TEST(InvalidationListener, OverlappingReportsAreAccepted) {
   const object::Catalog catalog({1});
   auto cache = whole_catalog_cache(catalog);
-  cache.admit(0, fetched(), 0);
+  cache.admit(0, 0);
   InvalidationListener listener;
   listener.apply(InvalidationReport(0, 10), cache);
   // A re-broadcast overlapping window is not a gap.
@@ -176,7 +176,7 @@ TEST(EndToEnd, PeriodicReportsTrackTrueStaleness) {
   Cache direct(1, make_harmonic_decay());
   auto via_reports = whole_catalog_cache(catalog);
   direct.refresh(0, fetched(), 0);
-  via_reports.admit(0, fetched(), 0);
+  via_reports.admit(0, 0);
   InvalidationLog log(1);
   InvalidationListener listener;
 

@@ -15,15 +15,11 @@
 namespace mobi::cache {
 namespace {
 
-server::FetchResult fetched(server::Version version = 1) {
-  return server::FetchResult{version, 0, 1};
-}
-
 TEST(BoundedCache, AdmitsWithinCapacity) {
   const auto catalog = object::Catalog({3, 4, 5});
   BoundedCache cache(catalog, make_harmonic_decay(), 10, lru_policy());
-  EXPECT_TRUE(cache.admit(0, fetched(), 0));
-  EXPECT_TRUE(cache.admit(1, fetched(), 0));
+  EXPECT_TRUE(cache.admit(0, 0));
+  EXPECT_TRUE(cache.admit(1, 0));
   EXPECT_EQ(cache.used(), 7);
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_TRUE(cache.contains(0));
@@ -33,9 +29,9 @@ TEST(BoundedCache, AdmitsWithinCapacity) {
 TEST(BoundedCache, EvictsToMakeRoom) {
   const auto catalog = object::Catalog({3, 4, 5});
   BoundedCache cache(catalog, make_harmonic_decay(), 10, lru_policy());
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 1);
-  cache.admit(2, fetched(), 2);  // needs 5, only 3 free -> evict
+  cache.admit(0, 0);
+  cache.admit(1, 1);
+  cache.admit(2, 2);  // needs 5, only 3 free -> evict
   EXPECT_LE(cache.used(), 10);
   EXPECT_TRUE(cache.contains(2));
   EXPECT_GE(cache.evictions(), 1u);
@@ -44,8 +40,8 @@ TEST(BoundedCache, EvictsToMakeRoom) {
 TEST(BoundedCache, RejectsObjectLargerThanCapacity) {
   const auto catalog = object::Catalog({3, 20});
   BoundedCache cache(catalog, make_harmonic_decay(), 10, lru_policy());
-  cache.admit(0, fetched(), 0);
-  EXPECT_FALSE(cache.admit(1, fetched(), 1));
+  cache.admit(0, 0);
+  EXPECT_FALSE(cache.admit(1, 1));
   EXPECT_TRUE(cache.contains(0));  // nothing was evicted for the reject
   EXPECT_EQ(cache.evictions(), 0u);
 }
@@ -53,10 +49,10 @@ TEST(BoundedCache, RejectsObjectLargerThanCapacity) {
 TEST(BoundedCache, ReAdmitRefreshesInPlace) {
   const auto catalog = object::Catalog({3, 4});
   BoundedCache cache(catalog, make_harmonic_decay(), 10, lru_policy());
-  cache.admit(0, fetched(1), 0);
+  cache.admit(0, 0);
   cache.on_server_update(0);
   EXPECT_LT(*cache.recency(0), 1.0);
-  cache.admit(0, fetched(2), 1);
+  cache.admit(0, 1);
   EXPECT_DOUBLE_EQ(*cache.recency(0), 1.0);
   EXPECT_EQ(cache.used(), 3);
 }
@@ -64,10 +60,10 @@ TEST(BoundedCache, ReAdmitRefreshesInPlace) {
 TEST(BoundedCache, LruEvictsLeastRecentlyUsed) {
   const auto catalog = object::make_uniform_catalog(3, 4);
   BoundedCache cache(catalog, make_harmonic_decay(), 8, lru_policy());
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 1);
+  cache.admit(0, 0);
+  cache.admit(1, 1);
   cache.read(0, 5);  // 0 is now more recent than 1
-  cache.admit(2, fetched(), 6);
+  cache.admit(2, 6);
   EXPECT_TRUE(cache.contains(0));
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
@@ -76,12 +72,12 @@ TEST(BoundedCache, LruEvictsLeastRecentlyUsed) {
 TEST(BoundedCache, LfuEvictsLeastFrequentlyUsed) {
   const auto catalog = object::make_uniform_catalog(3, 4);
   BoundedCache cache(catalog, make_harmonic_decay(), 8, lfu_policy());
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 1);
+  cache.admit(0, 0);
+  cache.admit(1, 1);
   cache.read(1, 2);
   cache.read(1, 3);
   cache.read(0, 4);
-  cache.admit(2, fetched(), 5);
+  cache.admit(2, 5);
   EXPECT_TRUE(cache.contains(1));
   EXPECT_FALSE(cache.contains(0));
 }
@@ -89,9 +85,9 @@ TEST(BoundedCache, LfuEvictsLeastFrequentlyUsed) {
 TEST(BoundedCache, SizeAwareEvictsLargest) {
   const auto catalog = object::Catalog({2, 6, 4});
   BoundedCache cache(catalog, make_harmonic_decay(), 8, size_aware_policy());
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 1);
-  cache.admit(2, fetched(), 2);  // must free 4: evicts the 6-unit object
+  cache.admit(0, 0);
+  cache.admit(1, 1);
+  cache.admit(2, 2);  // must free 4: evicts the 6-unit object
   EXPECT_TRUE(cache.contains(0));
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
@@ -101,14 +97,14 @@ TEST(BoundedCache, RecencyProfitKeepsPopularFreshSmall) {
   const auto catalog = object::Catalog({2, 2, 2});
   BoundedCache cache(catalog, make_harmonic_decay(), 4,
                      recency_profit_policy());
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 1);
+  cache.admit(0, 0);
+  cache.admit(1, 1);
   // Object 0: popular; object 1: stale and unpopular.
   cache.read(0, 2);
   cache.read(0, 3);
   cache.on_server_update(1);
   cache.on_server_update(1);
-  cache.admit(2, fetched(), 4);
+  cache.admit(2, 4);
   EXPECT_TRUE(cache.contains(0));
   EXPECT_FALSE(cache.contains(1));
 }
@@ -117,14 +113,14 @@ TEST(BoundedCache, ReadOnMissReturnsNullopt) {
   const auto catalog = object::Catalog({2});
   BoundedCache cache(catalog, make_harmonic_decay(), 4, lru_policy());
   EXPECT_FALSE(cache.read(0, 0).has_value());
-  EXPECT_EQ(cache.inner().stats().misses, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(BoundedCache, ResidentsReportMetadata) {
   const auto catalog = object::Catalog({2, 3});
   BoundedCache cache(catalog, make_harmonic_decay(), 10, lru_policy());
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 1);
+  cache.admit(0, 0);
+  cache.admit(1, 1);
   cache.read(1, 4);
   const auto residents = cache.residents();
   ASSERT_EQ(residents.size(), 2u);
@@ -138,9 +134,51 @@ TEST(BoundedCache, Validation) {
   const auto catalog = object::Catalog({2});
   EXPECT_THROW(BoundedCache(catalog, make_harmonic_decay(), 0, lru_policy()),
                std::invalid_argument);
-  EXPECT_THROW(BoundedCache(catalog, make_harmonic_decay(), 4,
-                            ReplacementPolicy{"broken", nullptr}),
+  EXPECT_THROW(BoundedCache(catalog, nullptr, 4, lru_policy()),
                std::invalid_argument);
+}
+
+TEST(BoundedCache, IdsOutsideTheCatalogThrow) {
+  const auto catalog = object::Catalog({2, 2});
+  BoundedCache cache(catalog, make_harmonic_decay(), 4, lru_policy());
+  cache.admit(1, 0);
+  const object::ObjectId past_end = 2;  // the catalog size
+  EXPECT_THROW(cache.read(past_end, 1), std::out_of_range);
+  EXPECT_THROW(cache.contains(past_end), std::out_of_range);
+  EXPECT_THROW(cache.recency(past_end), std::out_of_range);
+  EXPECT_THROW(cache.on_server_update(past_end), std::out_of_range);
+  EXPECT_THROW(cache.evict(past_end), std::out_of_range);
+  EXPECT_THROW(cache.admit(past_end, 1), std::out_of_range);
+  EXPECT_TRUE(cache.contains(1));
+  EXPECT_EQ(cache.used(), 2);
+}
+
+TEST(BoundedCache, RejectedAdmitEvictsNothing) {
+  // A full cache: admitting a third object would evict one, but the
+  // recency is rejected first, so every resident stays.
+  const auto catalog = object::Catalog({2, 2, 2});
+  BoundedCache cache(catalog, make_harmonic_decay(), 4, lru_policy());
+  cache.admit(0, 0);
+  cache.admit(1, 1);
+  for (const double bad : {0.0, -0.5, 1.5}) {
+    try {
+      cache.admit(2, 2, bad);
+      ADD_FAILURE() << "recency " << bad << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("BoundedCache::admit"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // ...and a resident's re-admission keeps its score.
+  EXPECT_THROW(cache.admit(0, 3, 0.0), std::invalid_argument);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.used(), 4);
+  EXPECT_TRUE(cache.contains(0));
+  EXPECT_TRUE(cache.contains(1));
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_DOUBLE_EQ(*cache.recency(0), 1.0);
+  EXPECT_EQ(cache.stats().refreshes, 2u);
 }
 
 TEST(BoundedCache, PolicyNamesExposed) {
@@ -153,8 +191,8 @@ TEST(BoundedCache, PolicyNamesExposed) {
 TEST(BoundedCache, ExplicitEvictReleasesSpace) {
   const auto catalog = object::Catalog({3, 4});
   BoundedCache cache(catalog, make_harmonic_decay(), 10, lru_policy());
-  cache.admit(0, fetched(), 0);
-  cache.admit(1, fetched(), 1);
+  cache.admit(0, 0);
+  cache.admit(1, 1);
   EXPECT_EQ(cache.used(), 7);
   EXPECT_TRUE(cache.evict(0));
   EXPECT_EQ(cache.used(), 4);
@@ -166,7 +204,7 @@ TEST(BoundedCache, ExplicitEvictReleasesSpace) {
 TEST(BoundedCache, AdmitWithRelayedRecency) {
   const auto catalog = object::Catalog({2});
   BoundedCache cache(catalog, make_harmonic_decay(), 4, lru_policy());
-  cache.admit(0, fetched(), 0, 0.6);
+  cache.admit(0, 0, 0.6);
   EXPECT_DOUBLE_EQ(*cache.recency(0), 0.6);
   const auto residents = cache.residents();
   ASSERT_EQ(residents.size(), 1u);
@@ -179,7 +217,7 @@ TEST(BoundedCache, ChurnNeverExceedsCapacity) {
   BoundedCache cache(catalog, make_harmonic_decay(), 20, lru_policy());
   for (sim::Tick t = 0; t < 500; ++t) {
     const auto id = object::ObjectId(rng.uniform_u64(0, 49));
-    cache.admit(id, fetched(server::Version(t)), t);
+    cache.admit(id, t);
     ASSERT_LE(cache.used(), 20);
   }
 }
@@ -190,9 +228,9 @@ TEST(BoundedCache, ChurnNeverExceedsCapacity) {
 TEST(BoundedCache, LruTieEvictsLowestId) {
   const auto catalog = object::make_uniform_catalog(4, 4);
   BoundedCache cache(catalog, make_harmonic_decay(), 8, lru_policy());
-  cache.admit(2, fetched(), 3);
-  cache.admit(1, fetched(), 3);  // same last_access as 2
-  cache.admit(3, fetched(), 5);
+  cache.admit(2, 3);
+  cache.admit(1, 3);  // same last_access as 2
+  cache.admit(3, 5);
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
   EXPECT_TRUE(cache.contains(3));
@@ -202,11 +240,11 @@ TEST(BoundedCache, LruTieEvictsLowestId) {
 TEST(BoundedCache, LfuTieEvictsLowestId) {
   const auto catalog = object::make_uniform_catalog(4, 4);
   BoundedCache cache(catalog, make_harmonic_decay(), 8, lfu_policy());
-  cache.admit(2, fetched(), 0);
-  cache.admit(1, fetched(), 1);
+  cache.admit(2, 0);
+  cache.admit(1, 1);
   cache.read(1, 2);
   cache.read(2, 3);  // one access each
-  cache.admit(3, fetched(), 4);
+  cache.admit(3, 4);
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
   EXPECT_EQ(cache.evictions(), 1u);
@@ -216,10 +254,10 @@ TEST(BoundedCache, SizeAwareTieEvictsLowestId) {
   const auto catalog = object::Catalog({2, 4, 4, 4});
   BoundedCache cache(catalog, make_harmonic_decay(), 10,
                      size_aware_policy());
-  cache.admit(2, fetched(), 0);
-  cache.admit(0, fetched(), 1);
-  cache.admit(1, fetched(), 2);  // 1 and 2 share the largest size
-  cache.admit(3, fetched(), 3);
+  cache.admit(2, 0);
+  cache.admit(0, 1);
+  cache.admit(1, 2);  // 1 and 2 share the largest size
+  cache.admit(3, 3);
   EXPECT_TRUE(cache.contains(0));
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
@@ -230,20 +268,40 @@ TEST(BoundedCache, RecencyProfitTieEvictsLowestId) {
   const auto catalog = object::make_uniform_catalog(4, 2);
   BoundedCache cache(catalog, make_harmonic_decay(), 4,
                      recency_profit_policy());
-  cache.admit(2, fetched(), 0);
-  cache.admit(1, fetched(), 1);
+  cache.admit(2, 0);
+  cache.admit(1, 1);
   cache.read(2, 2);
   cache.read(1, 3);
   cache.on_server_update(1);
   cache.on_server_update(2);  // equal popularity, recency and size
-  cache.admit(3, fetched(), 4);
+  cache.admit(3, 4);
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
   EXPECT_EQ(cache.evictions(), 1u);
 }
 
+// The oracle's own copy of the four policies' eviction priorities.
+double priority(ReplacementPolicy::Kind kind, const Residency& r,
+                sim::Tick now) {
+  switch (kind) {
+    case ReplacementPolicy::Kind::kLru:
+      return double(now - r.last_access);
+    case ReplacementPolicy::Kind::kLfu:
+      return -double(r.access_count);
+    case ReplacementPolicy::Kind::kSizeAware:
+      return double(r.size);
+    case ReplacementPolicy::Kind::kRecencyProfit: {
+      const double popularity = double(r.access_count) + 1.0;
+      const double value = popularity * r.recency / double(r.size);
+      return -value;
+    }
+  }
+  return 0.0;
+}
+
 // The oracle for the differential fuzz below: a bounded cache and listener
-// laid out one slot per catalog object, victims picked by a scan over every
+// laid out one slot per catalog object beside a per-catalog Cache that
+// holds the recencies and the stats, victims picked by a scan over every
 // slot in id order, each reported update probed one at a time, and the
 // sleeper rule dropping every catalog id.
 class SlotPerObjectCache {
@@ -253,13 +311,13 @@ class SlotPerObjectCache {
       : catalog_(&catalog),
         cache_(catalog.size(), make_harmonic_decay()),
         capacity_(capacity),
-        policy_(std::move(policy)),
+        policy_(policy),
         slots_(catalog.size()) {}
 
-  bool admit(object::ObjectId id, const server::FetchResult& fetch,
-             sim::Tick now, double recency) {
+  bool admit(object::ObjectId id, sim::Tick now, double recency) {
     const object::Units size = catalog_->object_size(id);
     if (size > capacity_) return false;
+    const server::FetchResult fetch{server::Version(now), now, size};
     if (cache_.contains(id)) {
       cache_.refresh(id, fetch, now, recency);
       slots_[id]->recency = recency;
@@ -270,9 +328,9 @@ class SlotPerObjectCache {
       std::optional<object::ObjectId> victim;
       for (const auto& slot : slots_) {
         if (!slot) continue;
-        const double priority = policy_.priority(*slot, now);
-        if (priority > best) {
-          best = priority;
+        const double p = priority(policy_.kind, *slot, now);
+        if (p > best) {
+          best = p;
           victim = slot->id;
         }
       }
@@ -372,7 +430,7 @@ class SlotPerObjectCache {
   if (listener.cache_drops() != oracle.drops()) {
     return ::testing::AssertionFailure() << "cache_drops differ";
   }
-  for (object::ObjectId id = 0; id < cache.inner().object_count(); ++id) {
+  for (object::ObjectId id = 0; id < oracle.inner().object_count(); ++id) {
     if (cache.contains(id) != oracle.inner().contains(id) ||
         cache.recency(id) != oracle.inner().recency(id)) {
       return ::testing::AssertionFailure() << "object " << id << " differs";
@@ -392,11 +450,11 @@ class SlotPerObjectCache {
       return ::testing::AssertionFailure() << "resident " << i << " differs";
     }
   }
-  const CacheStats& as = cache.inner().stats();
+  const CacheStats& as = cache.stats();
   const CacheStats& es = oracle.inner().stats();
   if (as.hits != es.hits || as.misses != es.misses ||
       as.refreshes != es.refreshes || as.decays != es.decays) {
-    return ::testing::AssertionFailure() << "inner stats differ";
+    return ::testing::AssertionFailure() << "stats differ";
   }
   return ::testing::AssertionSuccess();
 }
@@ -426,9 +484,8 @@ TEST(BoundedCache, MatchesSlotPerObjectOracleUnderRandomSteps) {
           case 0: {
             step = "admit";
             const double recency = pick(2) ? 1.0 : rng.uniform(0.05, 1.0);
-            const server::FetchResult fetch{server::Version(now), now, 1};
-            ASSERT_EQ(cache.admit(id, fetch, now, recency),
-                      oracle.admit(id, fetch, now, recency));
+            ASSERT_EQ(cache.admit(id, now, recency),
+                      oracle.admit(id, now, recency));
             break;
           }
           case 1:
