@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
     // `truth`: decayed on every update (what clients actually experience).
     cache::Cache believed(n, cache::make_harmonic_decay());
     cache::Cache truth(n, cache::make_harmonic_decay());
-    cache::InvalidationLog log(n);
+    cache::InvalidationReporter reporter(servers);
+    cache::InvalidationReport report;
     core::ReciprocalScorer scorer;
     core::OnDemandKnapsackPolicy policy;
     auto updates = workload::make_periodic_staggered(n, 3);
@@ -47,21 +48,21 @@ int main(int argc, char** argv) {
     std::size_t scored = 0;
     object::Units downloaded = 0;
     for (sim::Tick t = 0; t < warmup + measure; ++t) {
-      updates->for_each_updated(t, [&](object::ObjectId id) {
-        servers.apply_update(id, t);
-        truth.on_server_update(id);
-        log.record_update(id, t);
-      });
       // Reports are contiguous, so a listener's sleeper rule never fires:
-      // each reported update decays the believed copy once.
+      // each reported update decays the believed copy once. The cut comes
+      // before this tick's updates, which go into the next report.
       if (t > 0 && t % report_period == 0) {
-        const auto report = log.make_report(t - report_period, t);
-        for (const auto& item : report.items()) {
-          for (std::uint32_t k = 0; k < item.updates; ++k) {
-            believed.on_server_update(item.object);
+        reporter.cut(t, report);
+        for (object::ObjectId id = 0; id < n; ++id) {
+          for (std::uint32_t k = 0; k < report.updates[id]; ++k) {
+            believed.on_server_update(id);
           }
         }
       }
+      updates->for_each_updated(t, [&](object::ObjectId id) {
+        servers.apply_update(id, t);
+        truth.on_server_update(id);
+      });
 
       const auto batch = generator.next_batch();
       core::PolicyContext ctx;

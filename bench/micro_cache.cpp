@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the cache layer: unbounded cache
 // operations, bounded-cache admission under each replacement policy, the
 // fleets' client cache (reads and admits, and a report that lists every
-// object), and invalidation report generation.
+// object), and the invalidation-report cut a fleet cell makes.
 //
 //   $ ./micro_cache --benchmark_filter=ClientCache --benchmark_min_time=0.01
 #include <benchmark/benchmark.h>
@@ -12,8 +12,10 @@
 #include "cache/invalidation.hpp"
 #include "cache/replacement.hpp"
 #include "object/builders.hpp"
+#include "server/remote_server.hpp"
 #include "util/rng.hpp"
 #include "workload/access.hpp"
+#include "workload/updates.hpp"
 
 namespace {
 
@@ -103,8 +105,8 @@ void BM_ClientCacheApplyFullReport(benchmark::State& state) {
   for (object::ObjectId id = 0; id < kClientObjects; id += 37) {
     store.admit(id, 0);
   }
-  cache::InvalidationReport report(0, 5);
-  for (object::ObjectId id = 0; id < kClientObjects; ++id) report.add(id, 1);
+  const cache::InvalidationReport report{
+      0, 5, std::vector<std::uint32_t>(kClientObjects, 1)};
   cache::InvalidationListener listener;
   for (auto _ : state) {
     benchmark::DoNotOptimize(listener.apply(report, store));
@@ -113,21 +115,28 @@ void BM_ClientCacheApplyFullReport(benchmark::State& state) {
 }
 BENCHMARK(BM_ClientCacheApplyFullReport);
 
-void BM_InvalidationReport(benchmark::State& state) {
-  const auto n = std::size_t(state.range(0));
-  cache::InvalidationLog log(n);
-  for (sim::Tick t = 0; t < 100; ++t) {
-    for (object::ObjectId id = 0; id < n; id += 5) {
-      log.record_update(id, t);
-    }
-  }
-  sim::Tick from = 0;
+// The cut a fleet cell makes: a 200-object pool whose objects update every
+// 4 ticks, cut into a report every 5. One iteration is one report period,
+// its five ticks of updates and then the cut.
+void BM_InvalidationCut(benchmark::State& state) {
+  util::Rng rng(1);
+  const auto catalog = object::make_random_catalog(kClientObjects, 1, 8, rng);
+  server::ServerPool servers(catalog, 1);
+  const auto updates = workload::make_periodic_staggered(kClientObjects, 4);
+  cache::InvalidationReporter reporter(servers);
+  cache::InvalidationReport report;
+  sim::Tick t = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(log.make_report(from % 90, from % 90 + 10));
-    ++from;
+    for (const sim::Tick end = t + 5; t < end; ++t) {
+      updates->for_each_updated(
+          t, [&](object::ObjectId id) { servers.apply_update(id, t); });
+    }
+    reporter.cut(t, report);
+    benchmark::DoNotOptimize(report.updates.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_InvalidationReport)->Range(256, 8192);
+BENCHMARK(BM_InvalidationCut);
 
 }  // namespace
 

@@ -7,7 +7,7 @@
 // a cache that has been listening continuously applies each report to
 // decay/invalidate affected entries, while a cache that slept through
 // more than the report's window can no longer trust anything it holds.
-// This module implements report generation on the server side, report
+// This module implements report cutting on the server side, report
 // application on a BoundedCache, and the sleeper rule.
 #pragma once
 
@@ -16,72 +16,41 @@
 
 #include "cache/replacement.hpp"
 #include "object/object.hpp"
+#include "server/remote_server.hpp"
 #include "sim/tick.hpp"
 
 namespace mobi::cache {
 
-/// The updates of one window [window_start, window_end): each updated
-/// object appears once with its update multiplicity (an object updated k
-/// times in the window has count k). Items are in strictly ascending id,
-/// an invariant add() enforces, so a listener can binary-search them.
-class InvalidationReport {
- public:
-  struct Item {
-    object::ObjectId object = 0;
-    std::uint32_t updates = 0;
-  };
-
-  InvalidationReport() = default;
-  InvalidationReport(sim::Tick window_start, sim::Tick window_end)
-      : window_start_(window_start), window_end_(window_end) {}
-
-  sim::Tick window_start() const noexcept { return window_start_; }
-  sim::Tick window_end() const noexcept { return window_end_; }
-  const std::vector<Item>& items() const noexcept { return items_; }
-
-  /// Appends `object` updated `updates` times. Throws
-  /// std::invalid_argument unless `object` is above every id already in
-  /// the report.
-  void add(object::ObjectId object, std::uint32_t updates);
-
-  /// Empties the items and sets a new window; the items keep their
-  /// capacity, so a reused report stops allocating once reserved.
-  void reset(sim::Tick window_start, sim::Tick window_end);
-  void reserve(std::size_t items) { items_.reserve(items); }
-
- private:
-  sim::Tick window_start_ = 0;
-  sim::Tick window_end_ = 0;
-  std::vector<Item> items_;
+/// The updates of one window [window_start, window_end): `updates[id]` is
+/// how many times object `id` changed in the window, one count per
+/// catalog object.
+struct InvalidationReport {
+  sim::Tick window_start = 0;
+  sim::Tick window_end = 0;
+  std::vector<std::uint32_t> updates;
 };
 
-/// Server-side: records updates as they happen and cuts periodic reports.
-class InvalidationLog {
+/// Server-side: cuts periodic reports from the servers' version counters.
+/// The servers already count every object's versions, so the reporter
+/// keeps only the versions as of its last cut; the updates of a window are
+/// the versions' growth since then.
+class InvalidationReporter {
  public:
-  explicit InvalidationLog(std::size_t object_count);
+  /// The first window starts at tick 0, as of the servers' versions now.
+  /// The pool must outlive the reporter.
+  explicit InvalidationReporter(const server::ServerPool& servers);
 
-  void record_update(object::ObjectId id, sim::Tick tick);
-
-  /// Builds the report covering [from, to); items appear in id order.
-  InvalidationReport make_report(sim::Tick from, sim::Tick to) const;
-
-  /// make_report into a caller-owned report (reset first). Reusing one
-  /// scratch report per reporting site makes the periodic-report tick
-  /// allocation-free once its items reach their high-water capacity —
-  /// the mobility fleet's steady state depends on this.
-  void make_report_into(sim::Tick from, sim::Tick to,
-                        InvalidationReport& out) const;
-
-  /// Drops records older than `before` (bounded memory for long runs).
-  void prune(sim::Tick before);
-
-  std::size_t recorded_updates() const noexcept { return total_; }
+  /// Writes the updates since the last cut into `report`, with the window
+  /// [last cut, now), and moves the cut to `now`. An update applied at
+  /// `now` after this call goes into the next report. `report.updates` is
+  /// resized to the catalog, so a reused report allocates nothing once
+  /// sized. Throws std::invalid_argument if `now` precedes the last cut.
+  void cut(sim::Tick now, InvalidationReport& report);
 
  private:
-  std::size_t object_count_;
-  // Per-object sorted update ticks; simulations are append-only in time.
-  std::vector<std::vector<sim::Tick>> updates_;
-  std::size_t total_ = 0;
+  const server::ServerPool* servers_;
+  std::vector<server::Version> last_;  // per object, as of the last cut
+  sim::Tick last_cut_ = 0;
 };
 
 /// Cache-side listener. Tracks the last report heard; applies decay for
@@ -93,8 +62,10 @@ class InvalidationLog {
 class InvalidationListener {
  public:
   /// Applies a report to `cache`, decaying each resident once per update
-  /// the report lists for it. Returns the number of decays applied, or -1
-  /// if the sleeper rule fired and the cache was dropped.
+  /// the report counts for it. Returns the number of decays applied, or -1
+  /// if the sleeper rule fired and the cache was dropped. A reversed window
+  /// or a count vector that is not the cache's catalog size throws
+  /// std::invalid_argument before the listener or the cache changes.
   int apply(const InvalidationReport& report, BoundedCache& cache);
 
   sim::Tick last_heard_end() const noexcept { return last_end_; }

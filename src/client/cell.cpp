@@ -38,7 +38,7 @@ CellEngine::CellEngine(const CellConfig& config,
       station_(catalog, servers_, cache::make_harmonic_decay(),
                std::make_unique<core::ReciprocalScorer>(),
                core::make_policy(config.base_policy), station_config(config)),
-      log_(config.object_count),
+      reporter_(servers_),
       updates_(workload::make_periodic_staggered(config.object_count,
                                                  config.update_period)),
       connectivity_rng_(root.split()),
@@ -66,7 +66,7 @@ CellEngine::CellEngine(const CellConfig& config,
   batch_.reserve(population);
   requester_.reserve(population);
   in_flight_.reserve(population * std::size_t(delivery_ticks_ + 1));
-  report_.reserve(config.object_count);
+  report_.updates.resize(catalog.size());
 }
 
 void CellEngine::set_tracer(obs::RequestTracer* tracer) {
@@ -83,24 +83,19 @@ void CellEngine::tick(sim::Tick t) {
   // it too, but the handoff draws below need the tick open).
   if (injector_) injector_->begin_tick(t);
 
-  // 1. Server updates: base-station knowledge is immediate; clients must
-  //    wait for the next report.
-  updates_->for_each_updated(t, [&](object::ObjectId id) {
-    station_.on_server_update(id, t);
-    log_.record_update(id, t);
-  });
-
-  // 2. Periodic invalidation report to connected clients. Entries older
-  //    than the window just broadcast can never appear in a report
-  //    again; pruning them keeps the log flat over arbitrarily long runs.
+  // 1. Periodic invalidation report to connected clients, cut before
+  //    this tick's updates: the window [t - report_period, t) excludes t.
   if (t > 0 && t % report_period_ == 0) {
-    log_.make_report_into(t - report_period_, t, report_);
+    reporter_.cut(t, report_);
     for (std::uint32_t id : roster_) {
       MobileClient& mobile = clients_[id];
       if (mobile.connected()) mobile.hear_report(report_);
     }
-    log_.prune(t - report_period_);
   }
+
+  // 2. Server updates: base-station knowledge is immediate; clients must
+  //    wait for the next report.
+  station_.apply_updates(*updates_, t);
 
   // 3. Payloads land before clients act, so a copy that arrives this
   //    tick can serve this tick's request locally.

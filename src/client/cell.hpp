@@ -7,12 +7,13 @@
 // cell over a shared client vector, and its handoff barrier queues roster
 // moves in an inbox each engine applies at the top of its next tick. Per
 // tick (CellEngine::tick):
-//   1. servers update; the base-station cache decays (it is co-located
-//      with the report generator, so its knowledge is current), and the
-//      updates are appended to the invalidation log;
-//   2. every report_period ticks a report is broadcast; connected clients
-//      apply it (the sleeper rule drops the local cache of clients that
-//      slept through a window), and the log is pruned to that window;
+//   1. every report_period ticks a report is cut from the servers'
+//      version counters, covering the window since the last cut, and
+//      broadcast; connected clients apply it (the sleeper rule drops the
+//      local cache of clients that slept through a window);
+//   2. servers update, after the cut, so an update at a report tick goes
+//      into the next report; the base-station cache decays at once (it is
+//      co-located with the servers, so its knowledge is current);
 //   3. payloads sent delivery_ticks ago land (delivery_ticks > 0 only);
 //   4. each resident client may start a fault handoff, steps its
 //      connectivity and, when connected, draws a request; if its local
@@ -196,7 +197,7 @@ class CellEngine {
   server::ServerPool servers_;
   core::BaseStation station_;
   std::optional<net::FaultInjector> injector_;
-  cache::InvalidationLog log_;
+  cache::InvalidationReporter reporter_;
   std::unique_ptr<workload::UpdateProcess> updates_;
   util::Rng connectivity_rng_;
   util::Rng request_rng_;
@@ -209,7 +210,7 @@ class CellEngine {
   workload::RequestBatch batch_;
   std::vector<std::uint32_t> requester_;  // client id per batch entry
   std::vector<Delivery> in_flight_;       // kept compact, enqueue order
-  cache::InvalidationReport report_;
+  cache::InvalidationReport report_;      // one count per catalog object
   obs::RequestTracer* tracer_ = nullptr;
   CellSeries* series_ = nullptr;
   std::vector<RosterMove>* inbox_ = nullptr;

@@ -50,17 +50,6 @@ bool MobileClient::step_connectivity(util::Rng& rng) {
   return false;
 }
 
-std::optional<double> MobileClient::lookup(object::ObjectId id,
-                                           sim::Tick now) {
-  const auto recency = cache_.read(id, now);
-  if (recency) {
-    ++hits_;
-  } else {
-    ++misses_;
-  }
-  return recency;
-}
-
 void MobileClient::store(object::ObjectId id, sim::Tick now, double recency) {
   cache_.admit(id, now, recency);
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/invalidation.hpp"
@@ -36,9 +37,6 @@ struct MobileClientConfig {
   double disconnect_rate = 0.01;
   double reconnect_rate = 0.3;
 };
-
-/// Where a request was ultimately served from.
-enum class ServedBy { kClientCache, kBaseStation, kNotServed };
 
 class MobileClient {
  public:
@@ -70,7 +68,9 @@ class MobileClient {
 
   /// Tries to serve `id` locally. Returns the recency of the local copy
   /// if present (and records a hit), nullopt on miss.
-  std::optional<double> lookup(object::ObjectId id, sim::Tick now);
+  std::optional<double> lookup(object::ObjectId id, sim::Tick now) {
+    return cache_.read(id, now);
+  }
 
   /// Stores a copy received from the base station. `recency` is the copy's
   /// recency score at receipt; 1.0 when the base station relayed a fresh
@@ -82,8 +82,9 @@ class MobileClient {
   int hear_report(const cache::InvalidationReport& report);
 
   const cache::BoundedCache& local_cache() const noexcept { return cache_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
+  /// Lookups served by / missing the local cache (its read() stats).
+  std::uint64_t hits() const noexcept { return cache_.stats().hits; }
+  std::uint64_t misses() const noexcept { return cache_.stats().misses; }
   std::uint64_t sleeper_drops() const noexcept {
     return listener_.cache_drops();
   }
@@ -96,8 +97,6 @@ class MobileClient {
   Connectivity connectivity_ = Connectivity::kConnected;
   sim::Tick handoff_ticks_left_ = 0;
   std::uint64_t handoffs_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace mobi::client

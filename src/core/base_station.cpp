@@ -22,8 +22,7 @@ BaseStation::BaseStation(const object::Catalog& catalog,
       scorer_(std::move(scorer)),
       policy_(std::move(policy)),
       config_(config),
-      network_(config.network_bandwidth, config.network_latency,
-               config.network_contention),
+      network_(/*bandwidth=*/100.0, /*latency=*/1.0, /*contention=*/1.0),
       downlink_(config.downlink_capacity) {
   if (!scorer_) throw std::invalid_argument("BaseStation: null scorer");
   if (!policy_) throw std::invalid_argument("BaseStation: null policy");

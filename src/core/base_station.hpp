@@ -39,10 +39,6 @@ namespace mobi::core {
 struct BaseStationConfig {
   /// Per-tick download budget in units; negative = unlimited.
   object::Units download_budget = -1;
-  /// Fixed network (base station <-> servers).
-  double network_bandwidth = 100.0;
-  double network_latency = 1.0;
-  double network_contention = 1.0;
   /// Wireless downlink (base station -> clients), units per tick.
   object::Units downlink_capacity = 100;
   /// When true, the downlink is treated as a broadcast medium: one
@@ -138,6 +134,8 @@ class BaseStation {
   const cache::Cache& cache() const noexcept { return cache_; }
   cache::Cache& cache() noexcept { return cache_; }
   const net::WirelessDownlink& downlink() const noexcept { return downlink_; }
+  /// The fixed network (base station <-> servers): bandwidth 100 units
+  /// per tick, latency 1 tick, contention 1.
   const net::FixedNetwork& network() const noexcept { return network_; }
   const DownloadPolicy& policy() const noexcept { return *policy_; }
   const RecencyScorer& scorer() const noexcept { return *scorer_; }

@@ -393,15 +393,6 @@ void solve_greedy(std::span<const KnapsackItem> items, object::Units capacity,
 
 KnapsackSolution solve_fptas(std::span<const KnapsackItem> items,
                              object::Units capacity, double epsilon) {
-  KnapsackWorkspace ws;
-  KnapsackSolution out;
-  solve_fptas(items, capacity, epsilon, ws, out);
-  return out;
-}
-
-void solve_fptas(std::span<const KnapsackItem> items, object::Units capacity,
-                 double epsilon, KnapsackWorkspace& ws,
-                 KnapsackSolution& out) {
   detail::validate_items(items);
   if (capacity < 0) {
     throw std::invalid_argument("solve_fptas: negative capacity");
@@ -409,21 +400,21 @@ void solve_fptas(std::span<const KnapsackItem> items, object::Units capacity,
   if (!(epsilon > 0.0) || epsilon >= 1.0) {
     throw std::invalid_argument("solve_fptas: epsilon must be in (0, 1)");
   }
-  out.reset();
+  KnapsackSolution out;
   const std::size_t n = items.size();
   double max_profit = 0.0;
   for (const auto& item : items) {
     if (item.size <= capacity) max_profit = std::max(max_profit, item.profit);
   }
-  if (n == 0 || max_profit <= 0.0) return;
+  if (n == 0 || max_profit <= 0.0) return out;
 
   // Scale profits to integers: q_i = floor(p_i / K), K = eps * P / n.
   const double scale = epsilon * max_profit / double(n);
-  ws.scaled_.resize(n);
+  std::vector<std::uint64_t> scaled(n);
   std::uint64_t total_scaled = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    ws.scaled_[i] = std::uint64_t(items[i].profit / scale);
-    total_scaled += ws.scaled_[i];
+    scaled[i] = std::uint64_t(items[i].profit / scale);
+    total_scaled += scaled[i];
   }
   // Guard the decision-matrix footprint (bits = n * (total_scaled + 1)).
   constexpr std::uint64_t kMaxBits = 64ULL * 1024 * 1024 * 8;
@@ -433,28 +424,25 @@ void solve_fptas(std::span<const KnapsackItem> items, object::Units capacity,
   }
 
   // min_weight[q] = least total size achieving scaled profit exactly q.
-  // The take matrix is flat 64-bit words, one padded row per item, reusing
-  // the workspace's bit buffer like the profile DP does.
+  // The take matrix is flat 64-bit words, one padded row per item.
   const auto q_max = std::size_t(total_scaled);
   constexpr object::Units kInfeasible = std::numeric_limits<object::Units>::max();
-  ws.min_weight_.resize(q_max + 1);
-  std::fill(ws.min_weight_.begin(), ws.min_weight_.end(), kInfeasible);
-  ws.min_weight_[0] = 0;
+  std::vector<object::Units> min_weight(q_max + 1, kInfeasible);
+  min_weight[0] = 0;
   const std::size_t row_words = (q_max + 1 + 63) / 64;
-  ws.take_bits_.resize(n * row_words);
-  std::fill(ws.take_bits_.begin(), ws.take_bits_.end(), 0);
-  std::uint64_t* row = ws.take_bits_.data();
+  std::vector<std::uint64_t> take_bits(n * row_words, 0);
+  std::uint64_t* row = take_bits.data();
   for (std::size_t i = 0; i < n; ++i, row += row_words) {
-    const auto q_i = std::size_t(ws.scaled_[i]);
+    const auto q_i = std::size_t(scaled[i]);
     if (q_i == 0) continue;  // adds no scaled profit; skip (keeps DP tight)
     for (std::size_t q = q_max; q >= q_i; --q) {
-      if (ws.min_weight_[q - q_i] == kInfeasible) {
+      if (min_weight[q - q_i] == kInfeasible) {
         if (q == q_i) break;
         continue;
       }
-      const object::Units weight = ws.min_weight_[q - q_i] + items[i].size;
-      if (weight < ws.min_weight_[q]) {
-        ws.min_weight_[q] = weight;
+      const object::Units weight = min_weight[q - q_i] + items[i].size;
+      if (weight < min_weight[q]) {
+        min_weight[q] = weight;
         row[q >> 6] |= std::uint64_t{1} << (q & 63);
       }
       if (q == q_i) break;
@@ -462,20 +450,21 @@ void solve_fptas(std::span<const KnapsackItem> items, object::Units capacity,
   }
   std::size_t best_q = 0;
   for (std::size_t q = 0; q <= q_max; ++q) {
-    if (ws.min_weight_[q] <= capacity) best_q = q;
+    if (min_weight[q] <= capacity) best_q = q;
   }
   // Reconstruct and report the *true* (unscaled) value of the chosen set.
   std::size_t q = best_q;
   for (std::size_t i = n; i-- > 0;) {
     if (q == 0) break;
-    if ((ws.take_bits_[i * row_words + (q >> 6)] >> (q & 63)) & 1u) {
+    if ((take_bits[i * row_words + (q >> 6)] >> (q & 63)) & 1u) {
       out.chosen.push_back(i);
       out.value += items[i].profit;
       out.used += items[i].size;
-      q -= std::size_t(ws.scaled_[i]);
+      q -= std::size_t(scaled[i]);
     }
   }
   std::reverse(out.chosen.begin(), out.chosen.end());
+  return out;
 }
 
 KnapsackSolution solve_brute_force(std::span<const KnapsackItem> items,

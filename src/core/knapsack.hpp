@@ -9,11 +9,13 @@
 // approximations the paper mentions.
 //
 // The solve is the per-batch hot path of every cell (docs/performance.md),
-// so every solver can borrow a KnapsackWorkspace: a bundle of scratch
-// buffers that grow to the high-water mark of the instances seen and are
-// then reused allocation-free across batches. Workspace-backed solves are
+// so the DP, the greedy solver and KnapsackProfile can borrow a
+// KnapsackWorkspace: a bundle of scratch buffers that grow to the
+// high-water mark of the instances seen and are then reused
+// allocation-free across batches. Workspace-backed solves are
 // bit-identical to fresh-construction solves (locked by the differential
-// fuzz in tests/knapsack_diff_test.cpp).
+// fuzz in tests/knapsack_diff_test.cpp). The FPTAS, which no policy runs,
+// keeps its scratch in locals.
 #pragma once
 
 #include <cstdint>
@@ -66,18 +68,14 @@ class KnapsackWorkspace {
                        KnapsackWorkspace&, KnapsackSolution&);
   friend void solve_greedy(std::span<const KnapsackItem>, object::Units,
                            KnapsackWorkspace&, KnapsackSolution&);
-  friend void solve_fptas(std::span<const KnapsackItem>, object::Units,
-                          double, KnapsackWorkspace&, KnapsackSolution&);
 
   std::vector<double> values_;          // profile value curve
   std::vector<double> values_prev_;     // word-parallel kernel's second row
-  std::vector<std::uint64_t> take_bits_;  // profile / FPTAS decision bits
+  std::vector<std::uint64_t> take_bits_;  // profile decision bits
   std::vector<object::Units> item_sizes_;
   std::vector<std::size_t> order_;      // density order (greedy, engine)
   std::vector<KnapsackItem> live_items_;  // solve_dp: items that can enter
   std::vector<std::size_t> live_index_;   // ... and their caller indices
-  std::vector<std::uint64_t> scaled_;   // FPTAS scaled profits
-  std::vector<object::Units> min_weight_;  // FPTAS weight-per-profit row
 };
 
 /// Internal building blocks shared by the serial solvers, the parallel
@@ -246,8 +244,6 @@ void solve_greedy(std::span<const KnapsackItem> items, object::Units capacity,
 /// if that would exceed ~64 MiB (keep n or 1/epsilon moderate).
 KnapsackSolution solve_fptas(std::span<const KnapsackItem> items,
                              object::Units capacity, double epsilon);
-void solve_fptas(std::span<const KnapsackItem> items, object::Units capacity,
-                 double epsilon, KnapsackWorkspace& ws, KnapsackSolution& out);
 
 /// Exhaustive search; only for tests (throws if items.size() > 30).
 KnapsackSolution solve_brute_force(std::span<const KnapsackItem> items,

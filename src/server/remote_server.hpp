@@ -70,6 +70,7 @@ class ServerPool {
   ServerPool(const object::Catalog& catalog, std::size_t server_count);
 
   std::size_t server_count() const noexcept { return servers_.size(); }
+  std::size_t object_count() const noexcept { return object_count_; }
   std::size_t server_for(object::ObjectId id) const;
 
   RemoteServer& server(std::size_t index) { return servers_.at(index); }

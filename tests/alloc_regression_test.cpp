@@ -44,6 +44,7 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/access.hpp"
+#include "workload/updates.hpp"
 
 namespace {
 
@@ -441,10 +442,12 @@ TEST(AllocRegression, ClientCacheAllocationFreeFromConstruction) {
                             cache::lru_policy());
   cache::InvalidationListener listener;
   // Reports are built before counting; the listener only reads them.
-  cache::InvalidationReport first(0, 10), next(10, 20), late(30, 40);
+  const std::vector<std::uint32_t> quiet(200);
+  cache::InvalidationReport first{0, 10, quiet}, next{10, 20, quiet},
+      late{30, 40, quiet};
   for (object::ObjectId id = 0; id < 200; id += 3) {
-    first.add(id, 1);
-    next.add(id, 2);
+    first.updates[id] = 1;
+    next.updates[id] = 2;
   }
   const std::uint64_t before = g_allocations.load();
   for (object::ObjectId id = 0; id < 20; ++id) cache.admit(id, 0);
@@ -484,9 +487,50 @@ TEST(AllocRegression, ClientCacheConstructionMakesOneAllocation) {
   EXPECT_EQ(cache.capacity(), 20);
 }
 
+TEST(AllocRegression, InvalidationCutsAllocationFreeFromConstruction) {
+  // The fleets' cell shape: a 200-object pool updated every 4 ticks, cut
+  // into a report every 5 and heard by 40 client caches. The reporter's
+  // versions and the report's counts are sized at construction and the
+  // listeners index the counts, so nothing allocates from the first tick.
+  util::Rng rng(1);
+  const auto catalog = object::make_random_catalog(200, 1, 8, rng);
+  server::ServerPool servers(catalog, 1);
+  const auto updates = workload::make_periodic_staggered(200, 4);
+  cache::InvalidationReporter reporter(servers);
+  cache::InvalidationReport report{0, 0, std::vector<std::uint32_t>(200)};
+  const std::shared_ptr<const cache::DecayModel> decay =
+      cache::make_harmonic_decay();
+  std::vector<cache::BoundedCache> caches;
+  caches.reserve(40);
+  for (int c = 0; c < 40; ++c) {
+    caches.emplace_back(catalog, decay, 20, cache::lru_policy());
+  }
+  std::vector<cache::InvalidationListener> listeners(caches.size());
+  std::int64_t decayed = 0;
+  const std::uint64_t before = g_allocations.load();
+  for (sim::Tick t = 0; t < 400; ++t) {
+    if (t > 0 && t % 5 == 0) {
+      reporter.cut(t, report);
+      for (std::size_t c = 0; c < caches.size(); ++c) {
+        decayed += listeners[c].apply(report, caches[c]);
+      }
+    }
+    updates->for_each_updated(
+        t, [&servers, t](object::ObjectId id) { servers.apply_update(id, t); });
+    for (std::size_t c = 0; c < caches.size(); ++c) {
+      caches[c].admit(object::ObjectId((std::size_t(t) * 7 + c * 13) % 200), t);
+    }
+  }
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations from construction";
+  EXPECT_GT(decayed, 0);
+  EXPECT_EQ(listeners[0].reports_applied(), 79u);
+}
+
 TEST(AllocRegression, ShardedCellSteadyStateIsAllocationFree) {
   // One sharded cell as run_cell steps it, under live fetch failures,
-  // retries and downlink drops: report broadcasts, log pruning, the
+  // retries and downlink drops: report cuts and broadcasts, the
   // client loop, process_batch and the stores into client caches all run
   // on scratch the engine reserves to its population plus the station's
   // retained buffers. After warm-up grows those to their high-water

@@ -143,12 +143,12 @@ TEST(BaseStation, DownlinkCarriesResponses) {
 }
 
 TEST(BaseStation, FetchLatencyReflectsBatchVolume) {
-  BaseStationConfig config;
-  config.network_bandwidth = 1.0;
-  config.network_latency = 2.0;
-  Fixture fx({3, 4}, "download-all", config);
+  Fixture fx({3, 4}, "download-all");
+  const net::FixedNetwork& network = fx.station.network();
+  EXPECT_DOUBLE_EQ(network.bandwidth(), 100.0);
+  EXPECT_DOUBLE_EQ(network.latency(), 1.0);
   const auto result = fx.station.process_batch(requests_for({0, 1}), 0);
-  EXPECT_DOUBLE_EQ(result.fetch_latency, 2.0 + 7.0);
+  EXPECT_DOUBLE_EQ(result.fetch_latency, 1.0 + 7.0 / 100.0);
 }
 
 TEST(BaseStation, EmptyBatchIsHarmless) {

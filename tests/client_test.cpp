@@ -10,6 +10,13 @@ namespace {
 
 object::Catalog small_catalog() { return object::make_uniform_catalog(10, 2); }
 
+// A report over `catalog` that counts no update.
+cache::InvalidationReport quiet_report(const object::Catalog& catalog,
+                                       sim::Tick start, sim::Tick end) {
+  return cache::InvalidationReport{start, end,
+                                   std::vector<std::uint32_t>(catalog.size())};
+}
+
 TEST(MobileClient, ConfigValidation) {
   const auto catalog = small_catalog();
   MobileClientConfig config;
@@ -91,8 +98,8 @@ TEST(MobileClient, HearsReportsAndDecays) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
   client.store(2, 0);
-  cache::InvalidationReport report(0, 5);
-  report.add(2, 1);
+  auto report = quiet_report(catalog, 0, 5);
+  report.updates[2] = 1;
   EXPECT_EQ(client.hear_report(report), 1);
   EXPECT_DOUBLE_EQ(*client.lookup(2, 6), 0.5);
 }
@@ -104,13 +111,13 @@ TEST(MobileClient, CopyHearsReportsIntoItsOwnCache) {
   MobileClient a(0, catalog, {});
   a.store(0, 0);
   MobileClient b = a;
-  cache::InvalidationReport report(0, 5);
-  report.add(0, 1);
+  auto report = quiet_report(catalog, 0, 5);
+  report.updates[0] = 1;
   EXPECT_EQ(b.hear_report(report), 1);
   EXPECT_DOUBLE_EQ(*b.local_cache().recency(0), 0.5);
   EXPECT_DOUBLE_EQ(*a.local_cache().recency(0), 1.0);
   // ...and the sleeper rule drops only the copy's cache.
-  EXPECT_EQ(b.hear_report(cache::InvalidationReport(10, 15)), -1);
+  EXPECT_EQ(b.hear_report(quiet_report(catalog, 10, 15)), -1);
   EXPECT_FALSE(b.local_cache().contains(0));
   EXPECT_TRUE(a.local_cache().contains(0));
   EXPECT_EQ(a.sleeper_drops(), 0u);
@@ -120,9 +127,9 @@ TEST(MobileClient, SleeperRuleDropsLocalCache) {
   const auto catalog = small_catalog();
   MobileClient client(0, catalog, {});
   client.store(2, 0);
-  client.hear_report(cache::InvalidationReport(0, 5));
+  client.hear_report(quiet_report(catalog, 0, 5));
   // Missed [5, 10); hears [10, 15): everything local is untrustworthy.
-  EXPECT_EQ(client.hear_report(cache::InvalidationReport(10, 15)), -1);
+  EXPECT_EQ(client.hear_report(quiet_report(catalog, 10, 15)), -1);
   EXPECT_FALSE(client.lookup(2, 16).has_value());
   EXPECT_EQ(client.sleeper_drops(), 1u);
 }
@@ -134,7 +141,7 @@ TEST(MobileClient, DisconnectedClientCannotHear) {
   MobileClient client(0, catalog, config);
   util::Rng rng(3);
   client.step_connectivity(rng);
-  EXPECT_THROW(client.hear_report(cache::InvalidationReport(0, 1)),
+  EXPECT_THROW(client.hear_report(quiet_report(catalog, 0, 1)),
                std::logic_error);
 }
 
@@ -207,6 +214,42 @@ TEST(Cell, RejectsNonPositiveReportPeriod) {
     config.report_period = period;
     EXPECT_THROW(run_cell(config), std::invalid_argument);
   }
+}
+
+// With updates and reports on one period, object 0 updates at every report
+// tick. The report at tick P covers [0, P): it counts the update at tick 0,
+// and the one at tick P goes into the next report, so the client's copy
+// decays exactly once. A cut after tick P's updates would count both.
+TEST(CellEngine, ReportAtAnUpdateTickLeavesThatTicksUpdateOut) {
+  CellConfig config;
+  config.object_count = 1;
+  config.client_count = 1;
+  config.client.disconnect_rate = 0.0;
+  config.client.target_recency = 0.1;  // a decayed copy still serves locally
+  config.update_period = 3;
+  config.report_period = 3;
+  util::Rng rng(config.seed);
+  const auto catalog = object::make_random_catalog(
+      config.object_count, config.size_lo, config.size_hi, rng);
+  const auto access = exp::make_access(config.access, config.object_count,
+                                       config.zipf_alpha);
+  std::vector<MobileClient> clients{MobileClient(0, catalog, config.client)};
+  std::vector<CellEngine::Credit> credited(clients.size());
+  CellEngine engine(config, catalog, *access, clients, credited, {0}, rng);
+  const cache::BoundedCache& local = clients[0].local_cache();
+
+  // Tick 0 fetches the copy after that tick's update; ticks 1 and 2 serve
+  // it locally, undecayed.
+  for (sim::Tick t = 0; t < config.report_period; ++t) engine.tick(t);
+  EXPECT_EQ(engine.result().served_by_base, 1u);
+  EXPECT_EQ(engine.result().served_locally, 2u);
+  EXPECT_DOUBLE_EQ(*local.recency(0), 1.0);
+  EXPECT_EQ(local.stats().decays, 0u);
+
+  engine.tick(config.report_period);
+  EXPECT_EQ(local.stats().decays, 1u);
+  EXPECT_DOUBLE_EQ(*local.recency(0), 0.5);
+  EXPECT_EQ(engine.result().served_locally, 3u);
 }
 
 TEST(Cell, BetterBasePolicyLiftsScores) {

@@ -231,7 +231,7 @@ TEST(KnapsackDiff, NearTieFuzzSolveDpMatchesProfileAtEveryCapacity) {
 // A workspace borrowed across calls with growing *and* shrinking problem
 // sizes must behave exactly like a fresh solve every time — stale buffer
 // contents from a larger earlier instance must never leak into a smaller
-// later one. Covers all three workspace solvers.
+// later one. Covers both workspace solvers.
 TEST(KnapsackDiff, WorkspaceReuseMatchesFreshAcrossVaryingSizes) {
   util::Rng rng(4242);
   KnapsackWorkspace ws;
@@ -254,12 +254,6 @@ TEST(KnapsackDiff, WorkspaceReuseMatchesFreshAcrossVaryingSizes) {
       EXPECT_EQ(reused.chosen, fresh_greedy.chosen);
       EXPECT_EQ(reused.value, fresh_greedy.value);
       EXPECT_EQ(reused.used, fresh_greedy.used);
-
-      solve_fptas(items, cap, 0.3, ws, reused);
-      const KnapsackSolution fresh_fptas = solve_fptas(items, cap, 0.3);
-      EXPECT_EQ(reused.chosen, fresh_fptas.chosen);
-      EXPECT_EQ(reused.value, fresh_fptas.value);
-      EXPECT_EQ(reused.used, fresh_fptas.used);
     }
   }
 }

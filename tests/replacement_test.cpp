@@ -369,23 +369,23 @@ class SlotPerObjectCache {
   }
 
   int apply(const InvalidationReport& report) {
-    if (heard_any_ && report.window_start() > last_end_) {
+    if (heard_any_ && report.window_start > last_end_) {
       for (object::ObjectId id = 0; id < slots_.size(); ++id) evict(id);
       ++drops_;
-      last_end_ = report.window_end();
+      last_end_ = report.window_end;
       return -1;
     }
     int decayed = 0;
-    for (const auto& item : report.items()) {
-      for (std::uint32_t k = 0; k < item.updates; ++k) {
-        if (cache_.contains(item.object)) {
-          on_server_update(item.object);
+    for (object::ObjectId id = 0; id < report.updates.size(); ++id) {
+      for (std::uint32_t k = 0; k < report.updates[id]; ++k) {
+        if (cache_.contains(id)) {
+          on_server_update(id);
           ++decayed;
         }
       }
     }
     heard_any_ = true;
-    last_end_ = std::max(last_end_, report.window_end());
+    last_end_ = std::max(last_end_, report.window_end);
     return decayed;
   }
 
@@ -509,12 +509,10 @@ TEST(BoundedCache, MatchesSlotPerObjectOracleUnderRandomSteps) {
             const sim::Tick start =
                 report_end + (gap ? 1 + sim::Tick(pick(4)) : 0);
             report_end = start + 1 + sim::Tick(pick(5));
-            InvalidationReport report(start, report_end);
-            for (object::ObjectId object = 0; object < catalog.size();
-                 ++object) {
-              if (pick(3) == 0) {
-                report.add(object, 1 + std::uint32_t(pick(3)));
-              }
+            InvalidationReport report{
+                start, report_end, std::vector<std::uint32_t>(catalog.size())};
+            for (std::uint32_t& updates : report.updates) {
+              if (pick(3) == 0) updates = 1 + std::uint32_t(pick(3));
             }
             ASSERT_EQ(listener.apply(report, cache), oracle.apply(report))
                 << "policy " << policy.name << " capacity " << capacity
