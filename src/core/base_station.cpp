@@ -272,9 +272,9 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
         ++result.degraded_serves;
         if (metrics_) inst_.fault_degraded_serves->add();
       }
+      bool sampled = false;
       if (tracer_) {
-        const bool sampled =
-            tracer_->on_arrival(request.object, request.client);
+        sampled = tracer_->on_arrival(request.object, request.client);
         tracer_->on_serve(sampled, request.object, request.client, cached,
                           degraded, x, request.target_recency, score);
       }
@@ -299,7 +299,10 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
           }
           sent_epoch_[request.object] = serve_epoch_;
         }
-        downlink_.enqueue(catalog_->object_size(request.object));
+        // The chunk carries its requester for the tracer; a coalesced
+        // chunk keeps its first requester's.
+        downlink_.enqueue(catalog_->object_size(request.object),
+                          {request.object, request.client, sampled});
       }
     }
     {

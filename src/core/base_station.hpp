@@ -161,8 +161,10 @@ class BaseStation {
   /// Attaches sim-time request-lifecycle tracing: arrival/hit/degraded/
   /// delivery events in the serve loop, fetch/retry events on the fetch
   /// paths, and (via the owned links) downlink and fixed-network events.
-  /// The tick is stamped once per batch with RequestTracer::begin_tick,
-  /// so the links need no extra tick plumbing. Observation-only, same as
+  /// Each response queued on the downlink carries its request's sampling
+  /// decision, so only a sampled request's delivery is recorded. The tick
+  /// is stamped once per batch with RequestTracer::begin_tick, so the
+  /// links need no extra tick plumbing. Observation-only, same as
   /// set_metrics: a traced run is bit-identical to an untraced one.
   /// nullptr detaches everywhere.
   void set_request_tracer(obs::RequestTracer* tracer) noexcept;

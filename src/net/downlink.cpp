@@ -15,11 +15,11 @@ WirelessDownlink::WirelessDownlink(object::Units capacity_per_tick)
   }
 }
 
-void WirelessDownlink::enqueue(object::Units units) {
+void WirelessDownlink::enqueue(object::Units units, ChunkTag tag) {
   if (units < 0) throw std::invalid_argument("WirelessDownlink: negative size");
   if (units == 0) return;
   pending_.push_back(units);
-  if (tracer_) pending_stamp_.push_back(ticks_);
+  if (tracer_) pending_stamp_.push_back({ticks_, tag});
   queued_ += units;
   enqueued_ += units;
   if (metrics_) {
@@ -59,7 +59,10 @@ object::Units WirelessDownlink::tick() {
     if (head == 0) {
       if (tracer_ && head_ < pending_stamp_.size()) {
         // Same-tick delivery waits 0 (ticks_ was bumped on entry).
-        tracer_->on_downlink_delivered((ticks_ - 1) - pending_stamp_[head_]);
+        const Stamp& stamp = pending_stamp_[head_];
+        tracer_->on_downlink_delivered(stamp.tag.sampled, stamp.tag.object,
+                                       stamp.tag.client,
+                                       sim::Tick((ticks_ - 1) - stamp.enqueued));
       }
       ++head_;
     }
@@ -116,10 +119,11 @@ void WirelessDownlink::set_tracer(obs::RequestTracer* tracer) {
     pending_stamp_.shrink_to_fit();
     return;
   }
-  // Backfill stamps for whatever is already queued (attach-mid-run), and
-  // match pending_'s capacity so mirrored pushes never reallocate first.
+  // Backfill stamps for whatever is already queued (attach-mid-run): no
+  // request was sampled for those chunks. Match pending_'s capacity so
+  // mirrored pushes never reallocate first.
   pending_stamp_.reserve(pending_.capacity());
-  pending_stamp_.assign(pending_.size(), ticks_);
+  pending_stamp_.assign(pending_.size(), Stamp{ticks_, ChunkTag{}});
 }
 
 double WirelessDownlink::utilization() const noexcept {

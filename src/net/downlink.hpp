@@ -24,14 +24,23 @@ namespace mobi::net {
 
 class FaultInjector;
 
+/// The request a queued chunk answers, as the tracer saw it. Only read
+/// while a tracer is attached.
+struct ChunkTag {
+  object::ObjectId object = 0;
+  std::uint32_t client = 0;
+  bool sampled = false;  // RequestTracer::on_arrival sampled the request
+};
+
 class WirelessDownlink {
  public:
   explicit WirelessDownlink(object::Units capacity_per_tick);
 
   object::Units capacity() const noexcept { return capacity_; }
 
-  /// Queues `units` of data for delivery to clients.
-  void enqueue(object::Units units);
+  /// Queues `units` of data for delivery to clients, answering the
+  /// request `tag` names.
+  void enqueue(object::Units units, ChunkTag tag = {});
 
   /// Advances one tick: delivers up to capacity units from the queue.
   /// Returns the units actually delivered this tick. With a fault
@@ -70,11 +79,14 @@ class WirelessDownlink {
   void set_metrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "downlink");
 
-  /// Attaches request-lifecycle tracing: a delivered event (with
-  /// queue-wait ticks) per chunk that fully drains and a drop event (with
-  /// the dropped units) per mid-flight drop. Enqueue-tick stamps are kept
-  /// in a parallel vector maintained only while a tracer is attached, so
-  /// the untraced path carries no extra state. nullptr detaches.
+  /// Attaches request-lifecycle tracing. Every chunk that fully drains
+  /// reports its queue wait and its enqueue-time ChunkTag, and the
+  /// tracer records a delivered event only for a sampled request; every
+  /// mid-flight drop is recorded with the dropped units. Stamps (enqueue
+  /// tick plus tag) are kept in a parallel vector maintained only while a
+  /// tracer is attached, so the untraced path carries no extra state;
+  /// chunks already queued at attach are stamped unsampled. nullptr
+  /// detaches.
   void set_tracer(obs::RequestTracer* tracer);
 
  private:
@@ -100,9 +112,13 @@ class WirelessDownlink {
   // no per-chunk deque churn, no allocations once capacity is warm.
   std::vector<object::Units> pending_;
   std::size_t head_ = 0;
-  // Enqueue-tick stamp per pending chunk (queue-wait tracing); mirrors
+  // Enqueue tick and request tag per pending chunk (tracing); mirrors
   // pending_ exactly while a tracer is attached, empty otherwise.
-  std::vector<std::uint64_t> pending_stamp_;
+  struct Stamp {
+    std::uint64_t enqueued;
+    ChunkTag tag;
+  };
+  std::vector<Stamp> pending_stamp_;
   FaultInjector* fault_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::RequestTracer* tracer_ = nullptr;

@@ -47,12 +47,18 @@ char* put_int(char* out, Int value) noexcept {
   return std::to_chars(out, out + 20, value).ptr;
 }
 
-}  // namespace
+// `{"t":<tick>,"ev":"`, the start every line of one tick shares; at most
+// 5 + 20 + 7 chars.
+constexpr std::size_t kMaxTickPrefix = 32;
 
-char* format_event_jsonl(char* out, const RequestEvent& event) noexcept {
+char* put_tick_prefix(char* out, sim::Tick tick) noexcept {
   out = put(out, "{\"t\":");
-  out = put_int(out, event.tick);
-  out = put(out, ",\"ev\":\"");
+  out = put_int(out, tick);
+  return put(out, ",\"ev\":\"");
+}
+
+// The rest of the line after its tick prefix.
+char* put_event_rest(char* out, const RequestEvent& event) noexcept {
   out = put(out, kind_text(event.kind));
   out = put(out, "\",\"obj\":");
   out = put_int(out, event.object);
@@ -69,6 +75,12 @@ char* format_event_jsonl(char* out, const RequestEvent& event) noexcept {
     out = json::format_number(out, event.value);
   }
   return put(out, "}\n");
+}
+
+}  // namespace
+
+char* format_event_jsonl(char* out, const RequestEvent& event) noexcept {
+  return put_event_rest(put_tick_prefix(out, event.tick), event);
 }
 
 void append_event_jsonl(std::string& out, const RequestEvent& event) {
@@ -141,9 +153,21 @@ void JsonlTraceSink::flush_buffer(std::vector<RequestEvent>& buffer) {
     written = written && std::fwrite(first, 1, size, file_) == size;
     out = first;
   };
+  // Lines of one tick share their prefix: format it once per run of
+  // same-tick events and copy it into every line of the run. The copy is
+  // a fixed kMaxTickPrefix bytes (a line has kMaxEventJsonl of room), and
+  // the rest of the line overwrites its tail.
+  char prefix[kMaxTickPrefix] = {};
+  std::size_t prefix_size = 0;  // 0: no prefix formatted yet
+  sim::Tick prefix_tick = 0;
   for (const RequestEvent& event : buffer) {
     if (std::size_t(last - out) < kMaxEventJsonl) write_out();
-    out = format_event_jsonl(out, event);
+    if (prefix_size == 0 || event.tick != prefix_tick) {
+      prefix_tick = event.tick;
+      prefix_size = std::size_t(put_tick_prefix(prefix, prefix_tick) - prefix);
+    }
+    std::memcpy(out, prefix, kMaxTickPrefix);
+    out = put_event_rest(out + prefix_size, event);
   }
   write_out();
   // Only events whose bytes reached the file count as flushed; stdio
@@ -286,26 +310,9 @@ void RequestTracer::register_histograms(MetricsRegistry* registry,
       prefix + ".served_recency_gap", 0.0, 1.0, 20);
 }
 
-bool RequestTracer::on_arrival(std::uint32_t object,
-                               std::uint32_t client) noexcept {
-  const bool sampled = (arrivals_++ % sample_every_) == 0;
-  if (!sampled) return false;
-  ++sampled_;
-  emit(EventKind::kArrival, object, client, 0, 0.0);
-  return true;
-}
-
-void RequestTracer::on_serve(bool sampled, std::uint32_t object,
-                             std::uint32_t client, bool cached, bool degraded,
-                             double recency, double target,
-                             double score) noexcept {
-  if (inst_.served_recency_gap) {
-    // How far the served copy fell short of what the client asked for;
-    // 0 = the target was met (possibly exceeded).
-    const double gap = target > recency ? target - recency : 0.0;
-    inst_.served_recency_gap->observe(gap);
-  }
-  if (!sampled) return;
+void RequestTracer::emit_serve(std::uint32_t object, std::uint32_t client,
+                               bool cached, bool degraded, double recency,
+                               double score) noexcept {
   if (cached) {
     emit(EventKind::kCacheHit, object, client, 0, recency);
   } else {
@@ -344,12 +351,6 @@ void RequestTracer::on_retry_attempt(std::uint32_t object,
 void RequestTracer::on_retry_drop(std::uint32_t object,
                                   std::uint32_t attempts) noexcept {
   emit(EventKind::kRetryDrop, object, RequestEvent::kNoClient, attempts, 0.0);
-}
-
-void RequestTracer::on_downlink_delivered(sim::Tick queue_wait) noexcept {
-  if (inst_.queue_wait) inst_.queue_wait->observe(double(queue_wait));
-  emit(EventKind::kDownlinkDelivered, 0, RequestEvent::kNoClient, 0,
-       double(queue_wait));
 }
 
 void RequestTracer::on_downlink_drop(double units) noexcept {

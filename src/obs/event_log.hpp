@@ -28,9 +28,11 @@
 namespace mobi::obs {
 
 /// Lifecycle stages. Request-scoped kinds (arrival/hit/miss/degraded/
-/// delivery) are subject to the tracer's 1-in-N sampling knob;
-/// object-scoped kinds (fetch/retry) and link-scoped kinds (downlink,
-/// net batch) are rare enough to always record.
+/// delivery, and the downlink delivery of the chunk a request queued) are
+/// subject to the tracer's 1-in-N sampling knob. Object-scoped kinds
+/// (fetch/retry) and the link's batch and drop events are recorded
+/// always: a fetch is one per selected object, a fixed-network batch one
+/// per tick, and a drop is a failure, which sampling must not hide.
 enum class EventKind : std::uint8_t {
   kArrival,            // request entered the serve loop
   kCacheHit,           // served from cache; value = copy recency
@@ -42,7 +44,8 @@ enum class EventKind : std::uint8_t {
   kFetchFailed,        // injected/legacy fault blocked the fetch
   kRetryAttempt,       // backoff expired, attempt made; value = waited ticks
   kRetryDrop,          // retry budget exhausted, object dropped
-  kDownlinkDelivered,  // chunk fully delivered; value = queue-wait ticks
+  kDownlinkDelivered,  // chunk fully delivered; obj/client = the sampled
+                       // request that queued it, value = queue-wait ticks
   kDownlinkDrop,       // chunk dropped mid-flight; value = dropped units
   kNetBatch,           // fixed-network batch; value = completion time
   kHandoff,            // client crossed a cell boundary; attempt = dest
@@ -262,7 +265,7 @@ class RequestTracer {
   EventLog& log() noexcept { return log_; }
   const EventLog& log() const noexcept { return log_; }
   std::size_t sample_every() const noexcept { return sample_every_; }
-  /// Arrivals seen (sampled or not) — the sampling counter.
+  /// Arrivals seen (sampled or not).
   std::uint64_t arrivals() const noexcept { return arrivals_; }
   std::uint64_t sampled_arrivals() const noexcept { return sampled_; }
 
@@ -272,10 +275,33 @@ class RequestTracer {
   sim::Tick now() const noexcept { return now_; }
 
   // --- request-scoped (serve loop); pass on_arrival's decision through.
-  bool on_arrival(std::uint32_t object, std::uint32_t client) noexcept;
+  // The unsampled paths are inline and record nothing, so a 1-in-N
+  // tracer costs N-1 of every N requests a counter and the histograms.
+
+  /// Samples arrivals 0, N, 2N, ... of the run by counting down to the
+  /// next one, with no division per request.
+  bool on_arrival(std::uint32_t object, std::uint32_t client) noexcept {
+    ++arrivals_;
+    if (until_sample_ != 0) {
+      --until_sample_;
+      return false;
+    }
+    until_sample_ = sample_every_ - 1;
+    ++sampled_;
+    emit(EventKind::kArrival, object, client, 0, 0.0);
+    return true;
+  }
   void on_serve(bool sampled, std::uint32_t object, std::uint32_t client,
                 bool cached, bool degraded, double recency, double target,
-                double score) noexcept;
+                double score) noexcept {
+    if (inst_.served_recency_gap) {
+      // How far the served copy fell short of what the client asked for;
+      // 0 = the target was met (possibly exceeded).
+      inst_.served_recency_gap->observe(target > recency ? target - recency
+                                                         : 0.0);
+    }
+    if (sampled) emit_serve(object, client, cached, degraded, recency, score);
+  }
 
   // --- object-scoped (fetch + retry path); always recorded.
   void on_fetch_selected(std::uint32_t object) noexcept;
@@ -285,8 +311,18 @@ class RequestTracer {
                         sim::Tick waited) noexcept;
   void on_retry_drop(std::uint32_t object, std::uint32_t attempts) noexcept;
 
-  // --- link-scoped.
-  void on_downlink_delivered(sim::Tick queue_wait) noexcept;
+  // --- link-scoped. A delivered chunk carries the request that queued
+  // it: every delivery observes the queue wait, and only a sampled
+  // request's delivery is recorded. Drops are recorded for every chunk.
+  void on_downlink_delivered(bool sampled, std::uint32_t object,
+                             std::uint32_t client,
+                             sim::Tick queue_wait) noexcept {
+    if (inst_.queue_wait) inst_.queue_wait->observe(double(queue_wait));
+    if (sampled) {
+      emit(EventKind::kDownlinkDelivered, object, client, 0,
+           double(queue_wait));
+    }
+  }
   void on_downlink_drop(double units) noexcept;
   void on_net_batch(std::size_t transfers, double completion) noexcept;
 
@@ -301,12 +337,16 @@ class RequestTracer {
             std::uint32_t attempt, double value) noexcept {
     log_.record(RequestEvent{now_, kind, attempt, object, client, value});
   }
+  /// A sampled serve's hit-or-miss, degraded and delivery events.
+  void emit_serve(std::uint32_t object, std::uint32_t client, bool cached,
+                  bool degraded, double recency, double score) noexcept;
 
   std::size_t sample_every_;
   EventLog log_;
   sim::Tick now_ = 0;
   std::uint64_t arrivals_ = 0;
   std::uint64_t sampled_ = 0;
+  std::size_t until_sample_ = 0;  // unsampled arrivals before the next one
 
   struct Instruments {
     FixedHistogram* ticks_to_serve = nullptr;

@@ -21,29 +21,6 @@ FixedHistogram::FixedHistogram(double lo, double hi, std::size_t buckets)
   width_ = (hi - lo) / double(buckets);
 }
 
-void FixedHistogram::observe(double x) noexcept {
-  ++total_;
-  if (std::isnan(x)) {
-    // Dedicated slot: a NaN must neither pick a bucket (the cast would
-    // be UB-adjacent garbage) nor poison the running sum.
-    ++nan_;
-    return;
-  }
-  sum_ += x;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto index = std::size_t((x - lo_) / width_);
-  // Floating-point rounding at the upper edge can land exactly on size().
-  if (index >= counts_.size()) index = counts_.size() - 1;
-  ++counts_[index];
-}
-
 void FixedHistogram::merge(const FixedHistogram& other) {
   if (lo_ != other.lo_ || hi_ != other.hi_ ||
       counts_.size() != other.counts_.size()) {

@@ -11,6 +11,7 @@
 // docs/observability.md for the full schema.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -55,7 +56,29 @@ class FixedHistogram {
  public:
   FixedHistogram(double lo, double hi, std::size_t buckets);
 
-  void observe(double x) noexcept;
+  /// Inline: the tracer observes a histogram for every request it sees.
+  void observe(double x) noexcept {
+    ++total_;
+    if (std::isnan(x)) {
+      // Dedicated slot: a NaN must neither pick a bucket (the cast would
+      // be UB-adjacent garbage) nor poison the running sum.
+      ++nan_;
+      return;
+    }
+    sum_ += x;
+    if (x < lo_) {
+      ++underflow_;
+      return;
+    }
+    if (x >= hi_) {
+      ++overflow_;
+      return;
+    }
+    auto index = std::size_t((x - lo_) / width_);
+    // Floating-point rounding at the upper edge can land exactly on size().
+    if (index >= counts_.size()) index = counts_.size() - 1;
+    ++counts_[index];
+  }
 
   std::size_t bucket_count() const noexcept { return counts_.size(); }
   std::uint64_t bucket(std::size_t index) const { return counts_.at(index); }

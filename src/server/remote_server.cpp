@@ -5,6 +5,8 @@
 
 namespace mobi::server {
 
+void throw_bad_id(const char* what) { throw std::out_of_range(what); }
+
 RemoteServer::RemoteServer(const object::Catalog& catalog)
     : catalog_(&catalog),
       versions_(catalog.size(), 0),
@@ -15,11 +17,6 @@ void RemoteServer::apply_update(object::ObjectId id, sim::Tick tick) {
   ++versions_[id];
   updated_at_[id] = tick;
   ++total_updates_;
-}
-
-Version RemoteServer::version(object::ObjectId id) const {
-  check(id);
-  return versions_[id];
 }
 
 sim::Tick RemoteServer::updated_at(object::ObjectId id) const {
@@ -40,11 +37,6 @@ ServerPool::ServerPool(const object::Catalog& catalog,
   }
   servers_.reserve(server_count);
   for (std::size_t i = 0; i < server_count; ++i) servers_.emplace_back(catalog);
-}
-
-std::size_t ServerPool::server_for(object::ObjectId id) const {
-  if (id >= object_count_) throw std::out_of_range("ServerPool: bad id");
-  return id % servers_.size();
 }
 
 void ServerPool::apply_update(object::ObjectId id, sim::Tick tick) {
@@ -69,10 +61,6 @@ void ServerPool::set_metrics(obs::MetricsRegistry* registry,
 bool ServerPool::available(object::ObjectId id) const {
   if (!fault_) return true;
   return !fault_->server_down(server_for(id));
-}
-
-Version ServerPool::version(object::ObjectId id) const {
-  return servers_[server_for(id)].version(id);
 }
 
 sim::Tick ServerPool::updated_at(object::ObjectId id) const {

@@ -27,6 +27,10 @@ namespace mobi::server {
 
 using Version = std::uint64_t;
 
+/// Throws std::out_of_range(`what`): the cold half of every id check, kept
+/// out of line so the inline reads stay small.
+[[noreturn]] void throw_bad_id(const char* what);
+
 /// What a fetch returns: the object's current version and when that
 /// version was installed.
 struct FetchResult {
@@ -44,7 +48,10 @@ class RemoteServer {
   /// Installs a new version of `id` at time `tick`.
   void apply_update(object::ObjectId id, sim::Tick tick);
 
-  Version version(object::ObjectId id) const;
+  Version version(object::ObjectId id) const {
+    check(id);
+    return versions_[id];
+  }
   sim::Tick updated_at(object::ObjectId id) const;
   std::uint64_t total_updates() const noexcept { return total_updates_; }
 
@@ -54,7 +61,7 @@ class RemoteServer {
 
  private:
   void check(object::ObjectId id) const {
-    if (id >= versions_.size()) throw std::out_of_range("RemoteServer: bad id");
+    if (id >= versions_.size()) throw_bad_id("RemoteServer: bad id");
   }
 
   const object::Catalog* catalog_;
@@ -71,7 +78,10 @@ class ServerPool {
 
   std::size_t server_count() const noexcept { return servers_.size(); }
   std::size_t object_count() const noexcept { return object_count_; }
-  std::size_t server_for(object::ObjectId id) const;
+  std::size_t server_for(object::ObjectId id) const {
+    if (id >= object_count_) throw_bad_id("ServerPool: bad id");
+    return id % servers_.size();
+  }
 
   RemoteServer& server(std::size_t index) { return servers_.at(index); }
   const RemoteServer& server(std::size_t index) const {
@@ -81,7 +91,11 @@ class ServerPool {
   /// Routes to the owning server.
   void apply_update(object::ObjectId id, sim::Tick tick);
   FetchResult fetch(object::ObjectId id) const;
-  Version version(object::ObjectId id) const;
+  /// Inline: the serve loop and every invalidation cut read one version
+  /// per object.
+  Version version(object::ObjectId id) const {
+    return servers_[server_for(id)].version(id);
+  }
   sim::Tick updated_at(object::ObjectId id) const;
 
   /// Registers fetch/update counters under `prefix` and keeps them

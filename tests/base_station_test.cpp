@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "object/builders.hpp"
+#include "obs/event_log.hpp"
+#include "obs/metrics.hpp"
 
 namespace mobi::core {
 namespace {
@@ -186,6 +191,90 @@ TEST(BaseStation, MissingObjectsNotEnqueuedOnDownlink) {
   Fixture fx({5}, "cache-only");
   fx.station.process_batch(requests_for({0}), 0);
   EXPECT_EQ(fx.station.downlink().delivered_total(), 0);
+}
+
+// A 1-in-4 traced station whose downlink backs up: every sampled cached
+// serve's chunk yields exactly one delivery event, naming that request,
+// on its arrival tick or later, and the queue-wait histogram still counts
+// every delivered chunk, sampled or not.
+TEST(BaseStation, TracedDeliveriesBelongToSampledRequests) {
+  BaseStationConfig config;
+  config.download_budget = 6;
+  config.downlink_capacity = 9;  // about 4 of ~10 chunks a tick
+  Fixture fx(std::vector<object::Units>(16, 2), "on-demand-knapsack", config);
+  obs::MetricsRegistry registry;
+  obs::RequestTracer tracer(obs::RequestTracer::Config{4, 1 << 16});
+  tracer.register_histograms(&registry);
+  fx.station.set_request_tracer(&tracer);
+
+  workload::ClientId client = 100;  // unique per request
+  for (sim::Tick t = 0; t < 20; ++t) {
+    workload::RequestBatch batch;
+    for (std::uint32_t i = 0; i < 13; ++i) {
+      batch.push_back({object::ObjectId((t * 7 + i * 5) % 16), 1.0, client++});
+    }
+    if (t % 3 == 0) fx.station.on_server_update(object::ObjectId(t % 16), t);
+    fx.station.process_batch(batch, t);
+  }
+  ASSERT_GT(fx.station.downlink().queued(), 0);  // the backlog is real
+  for (sim::Tick t = 20; fx.station.downlink().queued() > 0; ++t) {
+    fx.station.process_batch({}, t);
+  }
+
+  const obs::EventLog& log = tracer.log();
+  ASSERT_EQ(log.dropped(), 0u);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, sim::Tick> arrivals;
+  for (const obs::RequestEvent& e : log.events()) {
+    if (e.kind == obs::EventKind::kArrival) {
+      arrivals[{e.object, e.client}] = e.tick;
+    }
+  }
+  std::uint64_t delivered = 0, waited = 0;
+  for (const obs::RequestEvent& e : log.events()) {
+    if (e.kind != obs::EventKind::kDownlinkDelivered) continue;
+    ++delivered;
+    const auto it = arrivals.find({e.object, e.client});
+    ASSERT_NE(it, arrivals.end())
+        << "delivery of object " << e.object << " to client " << e.client
+        << " names no sampled arrival";
+    EXPECT_GE(e.tick, it->second);
+    EXPECT_EQ(e.value, double(e.tick - it->second));
+    waited += e.tick > it->second;
+  }
+  EXPECT_GT(log.count(obs::EventKind::kCacheMiss), 0u);
+  EXPECT_GT(waited, 0u);
+  EXPECT_EQ(delivered, log.count(obs::EventKind::kCacheHit));
+  // Every chunk is 2 units and all of them drained.
+  EXPECT_EQ(registry.find_histogram("lat.queue_wait")->total(),
+            std::uint64_t(fx.station.downlink().delivered_total() / 2));
+  EXPECT_GT(registry.find_histogram("lat.queue_wait")->total(), 2 * delivered);
+}
+
+// A coalesced chunk answers every requester of its object this tick but
+// is traced for the first one only: it yields at most one delivery event,
+// and none when that first requester was not sampled.
+TEST(BaseStation, CoalescedChunkIsTracedForItsFirstRequester) {
+  BaseStationConfig config;
+  config.coalesce_downlink = true;
+  config.downlink_capacity = 100;
+  Fixture fx({4, 4}, "download-all", config);
+  obs::MetricsRegistry registry;
+  obs::RequestTracer tracer(obs::RequestTracer::Config{2, 64});
+  tracer.register_histograms(&registry);
+  fx.station.set_request_tracer(&tracer);
+  // Arrivals 0 and 2 are sampled: object 0's chunk is tagged with client
+  // 5 (sampled), object 1's with client 6 (not sampled); clients 7 and 8
+  // share those chunks.
+  fx.station.process_batch({{0, 1.0, 5}, {1, 1.0, 6}, {1, 1.0, 7}, {0, 1.0, 8}},
+                           0);
+
+  EXPECT_EQ(registry.find_histogram("lat.queue_wait")->total(), 2u);
+  ASSERT_EQ(tracer.log().count(obs::EventKind::kDownlinkDelivered), 1u);
+  for (const obs::RequestEvent& e : tracer.log().events()) {
+    if (e.kind != obs::EventKind::kDownlinkDelivered) continue;
+    EXPECT_EQ(e.object, 0u);
+    EXPECT_EQ(e.client, 5u);
+  }
 }
 
 }  // namespace

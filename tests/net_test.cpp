@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/event_log.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace mobi::net {
@@ -223,6 +225,52 @@ TEST(WirelessDownlink, IdleInjectorIsBitIdenticalToDetached) {
   }
   EXPECT_EQ(wired.dropped_total(), 0);
   EXPECT_EQ(idle.counters().downlink_drops, 0u);
+}
+
+// Each chunk is traced for the request that queued it: every delivery
+// observes its queue wait, only a sampled request's delivery is recorded,
+// chunks queued before the tracer attached count as unsampled, and drops
+// are recorded whatever the tag.
+TEST(WirelessDownlink, TracesDeliveriesOfSampledRequestsAndEveryDrop) {
+  obs::MetricsRegistry registry;
+  obs::RequestTracer tracer;
+  tracer.register_histograms(&registry);
+  WirelessDownlink downlink(4);
+  downlink.enqueue(2, {1, 10, true});  // before attach: counts as unsampled
+  downlink.set_tracer(&tracer);
+  downlink.enqueue(2, {2, 20, true});
+  downlink.enqueue(3, {3, 30, false});
+  downlink.enqueue(3, {4, 40, true});
+  tracer.begin_tick(0);
+  EXPECT_EQ(downlink.tick(), 4);  // chunks 1 and 2
+  tracer.begin_tick(1);
+  EXPECT_EQ(downlink.tick(), 4);  // chunk 3, a unit of chunk 4
+  tracer.begin_tick(2);
+  EXPECT_EQ(downlink.tick(), 2);  // the rest of chunk 4
+
+  const obs::FixedHistogram& wait = *registry.find_histogram("lat.queue_wait");
+  EXPECT_EQ(wait.total(), 4u);
+  EXPECT_DOUBLE_EQ(wait.sum(), 0 + 0 + 1 + 2);
+  const obs::EventLog& log = tracer.log();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.events()[0].kind, obs::EventKind::kDownlinkDelivered);
+  EXPECT_EQ(log.events()[0].tick, 0);
+  EXPECT_EQ(log.events()[0].object, 2u);
+  EXPECT_EQ(log.events()[0].client, 20u);
+  EXPECT_EQ(log.events()[0].value, 0.0);
+  EXPECT_EQ(log.events()[1].object, 4u);
+  EXPECT_EQ(log.events()[1].client, 40u);
+  EXPECT_EQ(log.events()[1].value, 2.0);
+
+  FaultInjector dropping(drop_all_plan());
+  downlink.set_fault_injector(&dropping);
+  downlink.enqueue(2, {5, 50, false});
+  tracer.begin_tick(3);
+  downlink.tick();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.events()[2].kind, obs::EventKind::kDownlinkDrop);
+  EXPECT_EQ(log.events()[2].value, 2.0);
+  EXPECT_EQ(wait.total(), 4u);  // a drop is no delivery
 }
 
 TEST(FixedNetwork, RecordBatchCompletionMatchesLegacyPairWithoutFaults) {

@@ -87,6 +87,7 @@ TEST(ServerPool, RejectsZeroServersAndBadIds) {
   EXPECT_THROW(ServerPool(catalog, 0), std::invalid_argument);
   ServerPool pool(catalog, 2);
   EXPECT_THROW(pool.server_for(3), std::out_of_range);
+  EXPECT_THROW(pool.version(3), std::out_of_range);
 }
 
 }  // namespace
