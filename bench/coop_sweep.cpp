@@ -1,13 +1,14 @@
 // Coherent cooperative caching sweep: consistency mode x download policy.
 // Each row runs one cluster configuration through run_cooperative —
-// origin-only and coherence-off neighbor-first reproduce the pre-coherence
-// baselines; invalidate / propagate / lease run the directory protocol
-// with the discounted peer tier engaged. Expected shape: the peer tier
-// absorbs origin bandwidth wherever interests overlap; propagate buys the
-// highest recency at continuous wire cost, invalidate trades refetch
-// storms for zero staleness, lease lands in between with bounded
-// staleness and no per-update traffic. The async-round-robin rows show
-// the same protocol under a non-knapsack policy for scale.
+// origin-only and coherence-off neighbor-first (full-cost neighbor copies)
+// are the baselines without the protocol; invalidate / propagate / lease
+// run the directory protocol with the discounted peer tier engaged.
+// Expected shape: the peer tier absorbs origin bandwidth wherever
+// interests overlap; propagate buys the highest recency at continuous
+// wire cost, invalidate trades refetch storms for zero staleness, lease
+// lands in between with bounded staleness and no per-update traffic. The
+// async-round-robin rows show the same protocol under a non-knapsack
+// policy for scale.
 //
 // With --out=<dir> the propagate run additionally ships its per-tick
 // coop.* / coop.coherence.* series as <dir>/coop_metrics.json (schema

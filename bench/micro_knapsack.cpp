@@ -23,6 +23,7 @@
 #include "object/builders.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "oracles/benefit_reference.hpp"
 #include "server/remote_server.hpp"
 #include "util/rng.hpp"
 #include "workload/access.hpp"

@@ -59,17 +59,8 @@ bool Cache::is_stale(object::ObjectId id,
   return !slot || slot->version < server_version;
 }
 
-void Cache::record_read(object::ObjectId id) {
-  check(id);
-  auto& slot = entries_[id];
-  if (slot) {
-    ++slot->hits;
-    ++stats_.hits;
-    if (metrics_) inst_.hits->add();
-  } else {
-    ++stats_.misses;
-    if (metrics_) inst_.misses->add();
-  }
+void Cache::count_read(bool hit) {
+  (hit ? inst_.hits : inst_.misses)->add();
 }
 
 bool Cache::evict(object::ObjectId id) {

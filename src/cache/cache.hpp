@@ -84,7 +84,18 @@ class Cache {
   bool is_stale(object::ObjectId id, server::Version server_version) const;
 
   /// Records a read served from the cache (hit/miss accounting only).
-  void record_read(object::ObjectId id);
+  /// Inline: the serve loop calls it per request.
+  void record_read(object::ObjectId id) {
+    check(id);
+    auto& slot = entries_[id];
+    if (slot) {
+      ++slot->hits;
+      ++stats_.hits;
+    } else {
+      ++stats_.misses;
+    }
+    if (metrics_) count_read(slot.has_value());
+  }
 
   /// Drops the cached copy of `id` (no-op when absent). Returns whether a
   /// copy was present. Used by bounded caches for replacement.
@@ -111,6 +122,7 @@ class Cache {
     if (id >= entries_.size()) [[unlikely]] reject_id();
   }
   [[noreturn]] static void reject_id();
+  void count_read(bool hit);
 
   struct Instruments {
     obs::Counter* hits = nullptr;

@@ -94,20 +94,6 @@ void CoherenceDirectory::on_fill(std::size_t cell, object::ObjectId id,
   lease_expiry_[index(cell, id)] = now + config_.lease_ticks;
 }
 
-void CoherenceDirectory::on_evict(std::size_t cell, object::ObjectId id) {
-  const std::uint64_t bit = std::uint64_t(1) << cell;
-  if (!(sharers_[std::size_t(id)] & bit)) return;
-  sharers_[std::size_t(id)] &= ~bit;
-  states_[index(cell, id)] = CoherenceState::kInvalid;
-  const std::uint64_t left = sharers_[std::size_t(id)];
-  if (left && (left & (left - 1)) == 0) {
-    auto& state = states_[index(std::size_t(std::countr_zero(left)), id)];
-    if (state == CoherenceState::kShared) {
-      state = CoherenceState::kExclusive;
-    }
-  }
-}
-
 void CoherenceDirectory::on_server_update(object::ObjectId id) {
   std::uint64_t mask = sharers_[std::size_t(id)];
   switch (config_.mode) {
@@ -141,11 +127,6 @@ void CoherenceDirectory::on_server_update(object::ObjectId id) {
       }
       break;
   }
-}
-
-void CoherenceDirectory::record_peer_fetch(object::Units charged_units) {
-  ++stats_.peer_hits;
-  stats_.peer_fetch_units += charged_units;
 }
 
 std::uint64_t CoherenceDirectory::sharer_mask(object::ObjectId id) const {
@@ -207,13 +188,8 @@ core::PeerCopy PeerCacheView::lookup(object::ObjectId id,
   return best;
 }
 
-void PeerCacheView::on_cache_fill(object::ObjectId id, sim::Tick now,
-                                  double /*recency*/) {
+void PeerCacheView::on_cache_fill(object::ObjectId id, sim::Tick now) {
   directory_->on_fill(own_cell_, id, now);
-}
-
-void PeerCacheView::on_cache_evict(object::ObjectId id) {
-  directory_->on_evict(own_cell_, id);
 }
 
 }  // namespace mobi::coop

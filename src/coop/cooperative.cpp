@@ -1,12 +1,15 @@
 #include "coop/cooperative.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/decay.hpp"
+#include "core/base_station.hpp"
 #include "core/policy.hpp"
 #include "core/scoring.hpp"
 #include "object/builders.hpp"
@@ -72,31 +75,49 @@ void validate(const CoopConfig& config) {
   }
 }
 
+// Coherence off, neighbor-first: the best copy any other cell holds at or
+// above the acceptance threshold, copied at full size. No directory
+// tracks sharers, so fills need no bookkeeping.
+class NeighborCopies final : public core::PeerSource {
+ public:
+  NeighborCopies(std::vector<const cache::Cache*> others, double threshold)
+      : others_(std::move(others)), threshold_(threshold) {}
+
+  core::PeerCopy lookup(object::ObjectId id, sim::Tick) const override {
+    core::PeerCopy best;
+    for (const cache::Cache* other : others_) {
+      best.recency = std::max(best.recency, other->recency_or_zero(id));
+    }
+    best.valid = best.recency >= threshold_;
+    return best;
+  }
+  void on_cache_fill(object::ObjectId, sim::Tick) override {}
+
+ private:
+  std::vector<const cache::Cache*> others_;
+  double threshold_;
+};
+
 }  // namespace
 
-// One cooperating cell: the cache, its download policy, its request
-// stream, a coherent window onto the peers (coherence only), and the
-// per-tick scratch retained across ticks so the steady state allocates
+// One cooperating cell: a base station (cache, download policy, serve
+// loop, downlink), its request stream and its peer source. Stations and
+// batches are retained across ticks, so the steady state allocates
 // nothing (tests/alloc_regression_test.cpp).
 struct CoopCluster::Impl {
   struct Cell {
-    std::unique_ptr<cache::Cache> cache;
-    std::unique_ptr<core::DownloadPolicy> policy;
+    std::unique_ptr<core::BaseStation> station;
     std::unique_ptr<workload::RequestGenerator> requests;
-    std::unique_ptr<PeerCacheView> view;  // coherence only
+    std::unique_ptr<core::PeerSource> peers;  // nullptr: origin only
     workload::RequestBatch batch;
-    std::vector<object::ObjectId> to_fetch;
   };
 
-  // Declaration order *is* the original construction order: the RNG
-  // births the catalog, then each cell draws its access mapping and
-  // split stream in cell order — the draw sequence the reference loop
-  // consumes, bit for bit.
+  // Declaration order is construction order: the RNG births the catalog,
+  // then each cell draws its access mapping and split stream in cell
+  // order.
   util::Rng rng;
   object::Catalog catalog;
   server::ServerPool servers;
-  std::shared_ptr<const cache::DecayModel> decay;
-  core::ReciprocalScorer scorer;
   std::vector<Cell> cells;
   std::unique_ptr<workload::UpdateProcess> updates;
   std::unique_ptr<CoherenceDirectory> directory;  // coherence only
@@ -107,28 +128,53 @@ struct CoopCluster::Impl {
                                             config.size_lo, config.size_hi,
                                             rng)),
         servers(catalog, 1),
-        decay(cache::make_harmonic_decay()),
         cells(config.cell_count) {
+    const std::shared_ptr<const cache::DecayModel> decay =
+        cache::make_harmonic_decay();
+    core::BaseStationConfig station;
+    station.download_budget = config.budget_per_cell;
+    // Room for every response a tick can queue, so the downlink drains
+    // each tick and its backlog never grows.
+    station.downlink_capacity = std::max<object::Units>(
+        1, object::Units(config.requests_per_tick_per_cell) * config.size_hi);
     for (std::size_t c = 0; c < config.cell_count; ++c) {
-      cells[c].cache = std::make_unique<cache::Cache>(catalog.size(), decay);
-      cells[c].policy = core::make_policy(config.policy);
+      cells[c].station = std::make_unique<core::BaseStation>(
+          catalog, servers, decay, std::make_unique<core::ReciprocalScorer>(),
+          core::make_policy(config.policy), station);
       cells[c].requests = std::make_unique<workload::RequestGenerator>(
           make_access(config, rng, c), workload::ConstantTarget{1.0},
           config.requests_per_tick_per_cell, rng.split());
     }
     updates = workload::make_periodic_staggered(config.object_count,
                                                 config.update_period);
+    const bool neighbor_first = config.mode == FetchMode::kNeighborFirst;
     if (config.coherence.enabled) {
       directory = std::make_unique<CoherenceDirectory>(
           config.object_count, config.cell_count, config.coherence);
+      // Origin-only still registers every fill as a sharer; the threshold
+      // no copy can meet keeps peer copies out of pricing and fetches.
+      const double threshold =
+          neighbor_first ? config.neighbor_recency_threshold
+                         : std::numeric_limits<double>::infinity();
       for (std::size_t c = 0; c < config.cell_count; ++c) {
-        cells[c].view = std::make_unique<PeerCacheView>(
-            *directory, c, config.neighbor_recency_threshold);
+        auto view =
+            std::make_unique<PeerCacheView>(*directory, c, threshold);
         for (std::size_t d = 0; d < config.cell_count; ++d) {
-          cells[c].view->set_cell_cache(d, cells[d].cache.get());
+          view->set_cell_cache(d, &cells[d].station->cache());
         }
+        cells[c].peers = std::move(view);
+      }
+    } else if (neighbor_first) {
+      for (std::size_t c = 0; c < config.cell_count; ++c) {
+        std::vector<const cache::Cache*> others;
+        for (std::size_t d = 0; d < config.cell_count; ++d) {
+          if (d != c) others.push_back(&cells[d].station->cache());
+        }
+        cells[c].peers = std::make_unique<NeighborCopies>(
+            std::move(others), config.neighbor_recency_threshold);
       }
     }
+    for (Cell& cell : cells) cell.station->set_peer_source(cell.peers.get());
   }
 };
 
@@ -145,7 +191,7 @@ std::size_t CoopCluster::cell_count() const noexcept {
 }
 
 const cache::Cache& CoopCluster::cell_cache(std::size_t cell) const {
-  return *impl_->cells.at(cell).cache;
+  return impl_->cells.at(cell).station->cache();
 }
 
 const server::ServerPool& CoopCluster::servers() const noexcept {
@@ -166,20 +212,22 @@ void CoopCluster::set_profiler(obs::PhaseProfiler* profiler) {
     coherence_phase_ = profiler_->phase("coop.coherence");
     cells_phase_ = profiler_->phase("coop.cells");
   }
+  for (Impl::Cell& cell : impl_->cells) cell.station->set_profiler(profiler);
 }
 
 void CoopCluster::invalidate_copy(std::size_t cell, object::ObjectId id) {
-  impl_->cells[cell].cache->evict(id);
+  impl_->cells[cell].station->cache().evict(id);
 }
 
 void CoopCluster::propagate_copy(std::size_t cell, object::ObjectId id) {
   // The pushed update installs the new master version at full recency;
   // the wire cost is accounted by the directory.
-  impl_->cells[cell].cache->refresh(id, impl_->servers.fetch(id), now_, 1.0);
+  impl_->cells[cell].station->cache().refresh(id, impl_->servers.fetch(id),
+                                              now_, 1.0);
 }
 
 void CoopCluster::expire_copy(std::size_t cell, object::ObjectId id) {
-  impl_->cells[cell].cache->evict(id);
+  impl_->cells[cell].station->cache().evict(id);
 }
 
 void CoopCluster::tick() {
@@ -202,8 +250,8 @@ void CoopCluster::tick() {
     im2.servers.apply_update(id, t);
     CoherenceDirectory* dir2 = im2.directory.get();
     if (!dir2) {
-      // Pre-coherence behavior, bit for bit: every cell decays.
-      for (auto& cell : im2.cells) cell.cache->on_server_update(id);
+      // No protocol: every cell decays its own copy.
+      for (auto& cell : im2.cells) cell.station->cache().on_server_update(id);
       return;
     }
     switch (config_.coherence.mode) {
@@ -216,7 +264,7 @@ void CoopCluster::tick() {
       case ConsistencyMode::kLease:
         // Leased copies keep serving but their recency decays honestly —
         // the scoring must reflect that a served copy missed an update.
-        for (auto& cell : im2.cells) cell.cache->on_server_update(id);
+        for (auto& cell : im2.cells) cell.station->cache().on_server_update(id);
         dir2->on_server_update(id);
         break;
     }
@@ -227,86 +275,24 @@ void CoopCluster::tick() {
     profiler_->enter(cells_phase_);
   }
 
+  // Each cell's station selects, fetches (origin or its peer source) and
+  // serves; the cluster folds the measured ticks into the result.
   const bool measured = t >= config_.warmup_ticks;
-  for (std::size_t c = 0; c < im.cells.size(); ++c) {
-    Impl::Cell& cell = im.cells[c];
+  for (Impl::Cell& cell : im.cells) {
     cell.requests->next_batch_into(cell.batch);
     if (profiler_) profiler_->add_cost(cell.batch.size());
-    core::PolicyContext ctx;
-    ctx.catalog = &im.catalog;
-    ctx.cache = cell.cache.get();
-    ctx.servers = &im.servers;
-    ctx.scorer = &im.scorer;
-    ctx.now = t;
-    ctx.budget = config_.budget_per_cell;
-    // The knapsack prices the peer tier only when the protocol is on and
-    // peer fetches are allowed at all; kOriginOnly still runs the
-    // protocol (sharer tracking, invalidations) without peer traffic.
-    const bool peer_fetches_on =
-        dir != nullptr && config_.mode == FetchMode::kNeighborFirst;
-    ctx.peers = peer_fetches_on ? cell.view.get() : nullptr;
-
-    cell.policy->select_into(cell.batch, ctx, cell.to_fetch);
-    for (object::ObjectId id : cell.to_fetch) {
-      if (dir) {
-        // Coherent resolution: the same rule the candidate builder
-        // priced — a serveable peer copy strictly fresher than our own.
-        core::PeerCopy pc;
-        if (peer_fetches_on) pc = cell.view->lookup(id, t);
-        if (pc.valid && pc.recency > cell.cache->recency_or_zero(id)) {
-          cell.cache->refresh(id, im.servers.fetch(id), t, pc.recency);
-          cell.view->on_cache_fill(id, t, pc.recency);
-          dir->record_peer_fetch(
-              core::peer_cost(im.catalog.object_size(id), pc.cost_factor));
-          if (measured) {
-            result_.neighbor_units += im.catalog.object_size(id);
-            ++result_.neighbor_fetches;
-          }
-        } else {
-          cell.cache->refresh(id, im.servers.fetch(id), t);
-          cell.view->on_cache_fill(id, t, 1.0);
-          if (measured) {
-            result_.origin_units += im.catalog.object_size(id);
-            ++result_.origin_fetches;
-          }
-        }
-        continue;
-      }
-
-      // Pre-coherence resolution, kept verbatim: best neighbor copy at
-      // or above the threshold, else origin.
-      double best_recency = 0.0;
-      if (config_.mode == FetchMode::kNeighborFirst) {
-        for (std::size_t other = 0; other < im.cells.size(); ++other) {
-          if (other == c) continue;
-          best_recency = std::max(best_recency,
-                                  im.cells[other].cache->recency_or_zero(id));
-        }
-      }
-      if (best_recency >= config_.neighbor_recency_threshold) {
-        // The copied entry keeps the neighbor's recency; recency (not
-        // the version counter) is what every policy here consults.
-        cell.cache->refresh(id, im.servers.fetch(id), t, best_recency);
-        if (measured) {
-          result_.neighbor_units += im.catalog.object_size(id);
-          ++result_.neighbor_fetches;
-        }
-      } else {
-        cell.cache->refresh(id, im.servers.fetch(id), t);
-        if (measured) {
-          result_.origin_units += im.catalog.object_size(id);
-          ++result_.origin_fetches;
-        }
-      }
-    }
-
-    if (measured) {
-      for (const auto& request : cell.batch) {
-        const double x = cell.cache->recency_or_zero(request.object);
-        result_.recency_sum += x;
-        result_.score_sum += im.scorer.score(x, request.target_recency);
-        ++result_.requests;
-      }
+    const core::TickResult r = cell.station->process_batch(cell.batch, t);
+    if (!measured) continue;
+    result_.requests += r.requests;
+    result_.score_sum += r.score_sum;
+    result_.recency_sum += r.recency_sum;
+    result_.origin_units += r.units_downloaded;
+    result_.origin_fetches += r.objects_downloaded;
+    result_.neighbor_units += r.peer_object_units;
+    result_.neighbor_fetches += r.peer_fetches;
+    if (dir) {  // protocol accounting stays zero with coherence off
+      result_.peer_hits += r.peer_fetches;
+      result_.peer_fetch_units += r.peer_units;
     }
   }
 
@@ -323,9 +309,6 @@ void CoopCluster::tick() {
       result_.propagations = s.propagations - warmup_snapshot_.propagations;
       result_.lease_expiries =
           s.lease_expiries - warmup_snapshot_.lease_expiries;
-      result_.peer_hits = s.peer_hits - warmup_snapshot_.peer_hits;
-      result_.peer_fetch_units =
-          s.peer_fetch_units - warmup_snapshot_.peer_fetch_units;
       result_.coherence_units =
           s.coherence_units - warmup_snapshot_.coherence_units;
     }
@@ -414,103 +397,5 @@ CoopResult run_cooperative(const CoopConfig& config,
   }
   return cluster.result();
 }
-
-namespace detail {
-
-CoopResult run_cooperative_reference(const CoopConfig& config,
-                                     std::vector<CoopResult>* per_tick) {
-  if (config.coherence.enabled) {
-    throw std::invalid_argument(
-        "run_cooperative_reference: the oracle predates the coherence "
-        "protocol; disable coherence");
-  }
-  validate(config);
-  util::Rng rng(config.seed);
-  const object::Catalog catalog = object::make_random_catalog(
-      config.object_count, config.size_lo, config.size_hi, rng);
-  server::ServerPool servers(catalog, 1);
-  const std::shared_ptr<const cache::DecayModel> decay =
-      cache::make_harmonic_decay();
-  core::ReciprocalScorer scorer;
-
-  struct Cell {
-    std::unique_ptr<cache::Cache> cache;
-    std::unique_ptr<core::DownloadPolicy> policy;
-    std::unique_ptr<workload::RequestGenerator> requests;
-  };
-  std::vector<Cell> cells(config.cell_count);
-  for (std::size_t c = 0; c < config.cell_count; ++c) {
-    cells[c].cache = std::make_unique<cache::Cache>(catalog.size(), decay);
-    cells[c].policy = core::make_policy(config.policy);
-    cells[c].requests = std::make_unique<workload::RequestGenerator>(
-        make_access(config, rng, c), workload::ConstantTarget{1.0},
-        config.requests_per_tick_per_cell, rng.split());
-  }
-  auto updates = workload::make_periodic_staggered(config.object_count,
-                                                   config.update_period);
-
-  CoopResult result;
-  const sim::Tick total = config.warmup_ticks + config.measure_ticks;
-  for (sim::Tick t = 0; t < total; ++t) {
-    updates->for_each_updated(t, [&](object::ObjectId id) {
-      servers.apply_update(id, t);
-      for (auto& cell : cells) cell.cache->on_server_update(id);
-    });
-
-    const bool measured = t >= config.warmup_ticks;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      Cell& cell = cells[c];
-      const auto batch = cell.requests->next_batch();
-      core::PolicyContext ctx;
-      ctx.catalog = &catalog;
-      ctx.cache = cell.cache.get();
-      ctx.servers = &servers;
-      ctx.scorer = &scorer;
-      ctx.now = t;
-      ctx.budget = config.budget_per_cell;
-
-      for (object::ObjectId id : cell.policy->select(batch, ctx)) {
-        // Resolve: best neighbor copy above the threshold, else origin.
-        double best_recency = 0.0;
-        if (config.mode == FetchMode::kNeighborFirst) {
-          for (std::size_t other = 0; other < cells.size(); ++other) {
-            if (other == c) continue;
-            best_recency = std::max(
-                best_recency, cells[other].cache->recency_or_zero(id));
-          }
-        }
-        if (best_recency >= config.neighbor_recency_threshold) {
-          // The copied entry keeps the neighbor's recency; recency (not
-          // the version counter) is what every policy here consults.
-          cell.cache->refresh(id, servers.fetch(id), t, best_recency);
-          if (measured) {
-            result.neighbor_units += catalog.object_size(id);
-            ++result.neighbor_fetches;
-          }
-        } else {
-          cell.cache->refresh(id, servers.fetch(id), t);
-          if (measured) {
-            result.origin_units += catalog.object_size(id);
-            ++result.origin_fetches;
-          }
-        }
-      }
-
-      if (measured) {
-        for (const auto& request : batch) {
-          const double x = cell.cache->recency_or_zero(request.object);
-          result.recency_sum += x;
-          result.score_sum += scorer.score(x, request.target_recency);
-          ++result.requests;
-        }
-      }
-    }
-
-    if (per_tick) per_tick->push_back(result);
-  }
-  return result;
-}
-
-}  // namespace detail
 
 }  // namespace mobi::coop

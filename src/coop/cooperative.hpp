@@ -8,19 +8,22 @@
 // the neighbor copy's (possibly reduced) recency — instead of always
 // pulling from the remote origin.
 //
-// Fetch resolution per planned download of object u:
-//   kOriginOnly     — always fetch from the origin (the paper's model);
-//   kNeighborFirst  — if any neighbor caches u with recency >= the
-//                     threshold, copy from the best neighbor; else origin.
+// Every cell is a core::BaseStation, so each runs the station's one
+// select / fetch / serve path, and its peer source decides where a
+// planned download of object u comes from:
+//   kOriginOnly     — always from the origin (the paper's model);
+//   kNeighborFirst  — from the best neighbor copy at or above the
+//                     threshold when it is strictly fresher than the
+//                     cell's own copy; else from the origin. The knapsack
+//                     prices that peer tier in the same budget.
 //
 // With `coherence.enabled` the cluster additionally runs the directory
 // protocol from coherence.hpp: every cached copy carries a coherence
 // state, server updates drive the configured consistency mode
-// (invalidate / propagate / lease), the knapsack prices a third source
-// tier through a PeerCacheView, and neighbor fetches only happen through
-// serveable directory entries. Coherence off is bit-identical to the
-// pre-coherence loop (kept verbatim as detail::run_cooperative_reference
-// and locked by tests/coherence_test.cpp).
+// (invalidate / propagate / lease), the peer source is a PeerCacheView,
+// and neighbor copies only come from serveable directory entries at the
+// discounted inter-station cost. Coherence off, a neighbor copy costs its
+// full size.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +82,11 @@ struct CoopResult {
   double score_sum = 0.0;
   double recency_sum = 0.0;
   object::Units origin_units = 0;    // pulled over the fixed network
-  object::Units neighbor_units = 0;  // copied between base stations
+  object::Units neighbor_units = 0;  // full size copied between stations
   std::size_t origin_fetches = 0;
   std::size_t neighbor_fetches = 0;
 
-  // Coherence-protocol accounting (all zero when coherence is disabled,
-  // keeping field-for-field equality with pre-coherence results).
+  // Coherence-protocol accounting (all zero when coherence is disabled).
   std::uint64_t invalidations = 0;
   std::uint64_t propagations = 0;
   std::uint64_t lease_expiries = 0;
@@ -105,12 +107,12 @@ struct CoopResult {
 };
 
 /// One lock-step cluster of cooperating cells, steppable a tick at a
-/// time so tests can check protocol invariants between ticks. Construction
-/// order and per-tick work replicate the original run_cooperative loop
-/// exactly (same RNG draws, same float accumulation order), so a
-/// coherence-disabled cluster is bit-identical to
-/// detail::run_cooperative_reference — the differential lock in
-/// tests/coherence_test.cpp.
+/// time so tests can check protocol invariants between ticks. Each cell
+/// is a core::BaseStation with the cell's budget and a downlink wide
+/// enough to drain every tick; the cluster itself runs only the
+/// cluster-wide work: the lease sweep, the server updates that drive the
+/// consistency mode, and folding each station's measured TickResult into
+/// the CoopResult.
 class CoopCluster : public CoherenceDirectory::Listener {
  public:
   explicit CoopCluster(const CoopConfig& config);
@@ -119,7 +121,7 @@ class CoopCluster : public CoherenceDirectory::Listener {
   CoopCluster& operator=(const CoopCluster&) = delete;
 
   /// Advances one tick: lease sweep, server updates (driving the
-  /// consistency mode), then per cell select / resolve / serve.
+  /// consistency mode), then BaseStation::process_batch once per cell.
   void tick();
 
   sim::Tick now() const noexcept { return now_; }
@@ -134,10 +136,12 @@ class CoopCluster : public CoherenceDirectory::Listener {
 
   /// Attaches a phase profiler: each tick() runs a `coop.coherence` span
   /// (lease sweep + server updates driving the consistency mode; cost =
-  /// objects updated) and a `coop.cells` span (per-cell select / resolve
-  /// / serve; cost = requests served). Single-threaded — attach only
-  /// when the cluster is driven from one thread (the parallel shard
-  /// workers of run_multi_cell must not share one). nullptr detaches.
+  /// objects updated) and a `coop.cells` span (every cell's station tick;
+  /// cost = requests served). The profiler is attached to every cell's
+  /// station too, so the `bs.*` spans nest under `coop.cells`.
+  /// Single-threaded — attach only when the cluster is driven from one
+  /// thread (the parallel shard workers of run_multi_cell must not share
+  /// one). nullptr detaches.
   void set_profiler(obs::PhaseProfiler* profiler);
 
   // CoherenceDirectory::Listener — protocol actions applied to the cells.
@@ -174,16 +178,5 @@ class CoopCluster : public CoherenceDirectory::Listener {
 CoopResult run_cooperative(const CoopConfig& config,
                            std::vector<CoopResult>* per_tick = nullptr,
                            obs::SeriesRecorder* recorder = nullptr);
-
-namespace detail {
-
-/// The pre-coherence simulation loop, kept verbatim as the differential
-/// oracle for CoopCluster (tests/coherence_test.cpp compares them
-/// field-for-field). Throws std::invalid_argument if coherence is
-/// enabled — the oracle predates the protocol.
-CoopResult run_cooperative_reference(const CoopConfig& config,
-                                     std::vector<CoopResult>* per_tick);
-
-}  // namespace detail
 
 }  // namespace mobi::coop

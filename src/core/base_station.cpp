@@ -138,7 +138,7 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
       }
       const server::FetchResult fetched = servers_->fetch(entry.id);
       cache_.refresh(entry.id, fetched, now);
-      if (peers_) peers_->on_cache_fill(entry.id, now, 1.0);
+      if (peers_) peers_->on_cache_fill(entry.id, now);
       transfer_sizes_.push_back(fetched.size);
       result.units_downloaded += fetched.size;
       ++result.objects_downloaded;
@@ -186,9 +186,10 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
         if (pc.valid && pc.recency > cache_.recency_or_zero(id)) {
           const server::FetchResult fetched = servers_->fetch(id);
           cache_.refresh(id, fetched, now, pc.recency);
-          peers_->on_cache_fill(id, now, pc.recency);
+          peers_->on_cache_fill(id, now);
           const object::Units cost = peer_cost(fetched.size, pc.cost_factor);
           result.peer_units += cost;
+          result.peer_object_units += fetched.size;
           ++result.peer_fetches;
           network_.record_peer_units(cost);
           if (tracer_) tracer_->on_fetch_done(id, 0);
@@ -209,7 +210,7 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
       }
       const server::FetchResult fetched = servers_->fetch(id);
       cache_.refresh(id, fetched, now);
-      if (peers_) peers_->on_cache_fill(id, now, 1.0);
+      if (peers_) peers_->on_cache_fill(id, now);
       transfer_sizes_.push_back(fetched.size);
       result.units_downloaded += fetched.size;
       ++result.objects_downloaded;

@@ -63,6 +63,7 @@ struct TickResult {
   object::Units units_downloaded = 0;  // origin units (fixed network)
   std::size_t peer_fetches = 0;        // planned downloads served by a peer
   object::Units peer_units = 0;        // discounted inter-station units
+  object::Units peer_object_units = 0;  // full size of the peer-fetched copies
   double score_sum = 0.0;          // summed per-client recency scores
   double recency_sum = 0.0;        // summed raw recency of copies served
   double fetch_latency = 0.0;      // fixed-network completion time

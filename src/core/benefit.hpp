@@ -75,14 +75,6 @@ CandidateSet build_candidates(const workload::RequestBatch& batch,
                               const cache::Cache& cache,
                               const RecencyScorer& scorer);
 
-/// Reference implementation of build_candidates using an ordered map —
-/// the original O(R log D) aggregation, kept verbatim as the oracle for
-/// the differential fuzz in tests/benefit_diff_test.cpp.
-CandidateSet build_candidates_reference(const workload::RequestBatch& batch,
-                                        const object::Catalog& catalog,
-                                        const cache::Cache& cache,
-                                        const RecencyScorer& scorer);
-
 /// Reusable aggregation state for build_candidates. A touched-id bitmap
 /// over the catalog (one bit per object, zeroed at the top of every build)
 /// turns the per-batch map into two passes over the batch and one scan of
@@ -93,8 +85,9 @@ CandidateSet build_candidates_reference(const workload::RequestBatch& batch,
 ///      distinct object and recording its index in a dense slot array —
 ///      this is the reference map's iteration order, with no sort;
 ///   3. accumulate every request, in batch order, into its candidate.
-/// Output is bit-identical to build_candidates_reference: per-object
-/// doubles add the same terms in the same order. A build that throws
+/// Output is bit-identical to build_candidates_reference, the ordered-map
+/// oracle in tests/oracles/ (library mobi_oracles): per-object doubles add
+/// the same terms in the same order. A build that throws
 /// part-way leaves nothing behind, since the next build re-zeroes the
 /// bitmap. One builder per policy — the returned set aliases internal
 /// storage and is valid until the next build() call.

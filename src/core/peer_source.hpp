@@ -51,13 +51,9 @@ class PeerSource {
   virtual PeerCopy lookup(object::ObjectId id, sim::Tick now) const = 0;
 
   /// Notification that the attached station installed a copy of `id`
-  /// (origin or peer fetch) at `recency` — lets a coherence directory
-  /// register the station in the object's sharer set.
-  virtual void on_cache_fill(object::ObjectId id, sim::Tick now,
-                             double recency) = 0;
-
-  /// Notification that the attached station dropped its copy of `id`.
-  virtual void on_cache_evict(object::ObjectId id) = 0;
+  /// (origin or peer fetch) — lets a coherence directory register the
+  /// station in the object's sharer set.
+  virtual void on_cache_fill(object::ObjectId id, sim::Tick now) = 0;
 };
 
 }  // namespace mobi::core

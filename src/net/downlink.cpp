@@ -15,17 +15,13 @@ WirelessDownlink::WirelessDownlink(object::Units capacity_per_tick)
   }
 }
 
-void WirelessDownlink::enqueue(object::Units units, ChunkTag tag) {
-  if (units < 0) throw std::invalid_argument("WirelessDownlink: negative size");
-  if (units == 0) return;
-  pending_.push_back(units);
-  if (tracer_) pending_stamp_.push_back({ticks_, tag});
-  queued_ += units;
-  enqueued_ += units;
-  if (metrics_) {
-    inst_.enqueued_units->add(std::uint64_t(units));
-    inst_.queue_depth->set(double(queued_));
-  }
+void WirelessDownlink::reject_negative_size() {
+  throw std::invalid_argument("WirelessDownlink: negative size");
+}
+
+void WirelessDownlink::count_enqueue(object::Units units) {
+  inst_.enqueued_units->add(std::uint64_t(units));
+  inst_.queue_depth->set(double(queued_));
 }
 
 object::Units WirelessDownlink::tick() {

@@ -39,8 +39,17 @@ class WirelessDownlink {
   object::Units capacity() const noexcept { return capacity_; }
 
   /// Queues `units` of data for delivery to clients, answering the
-  /// request `tag` names.
-  void enqueue(object::Units units, ChunkTag tag = {});
+  /// request `tag` names. Inline: the serve loop calls it per cached
+  /// response.
+  void enqueue(object::Units units, ChunkTag tag = {}) {
+    if (units < 0) [[unlikely]] reject_negative_size();
+    if (units == 0) return;
+    pending_.push_back(units);
+    if (tracer_) pending_stamp_.push_back({ticks_, tag});
+    queued_ += units;
+    enqueued_ += units;
+    if (metrics_) count_enqueue(units);
+  }
 
   /// Advances one tick: delivers up to capacity units from the queue.
   /// Returns the units actually delivered this tick. With a fault
@@ -90,6 +99,9 @@ class WirelessDownlink {
   void set_tracer(obs::RequestTracer* tracer);
 
  private:
+  [[noreturn]] static void reject_negative_size();
+  void count_enqueue(object::Units units);
+
   struct Instruments {
     obs::Counter* enqueued_units = nullptr;
     obs::Counter* delivered_units = nullptr;

@@ -23,6 +23,7 @@
 #include "cache/decay.hpp"
 #include "core/benefit.hpp"
 #include "object/builders.hpp"
+#include "oracles/benefit_reference.hpp"
 #include "server/remote_server.hpp"
 #include "util/rng.hpp"
 
@@ -77,8 +78,7 @@ class CountingPeers final : public PeerSource {
     copy.cost_factor = double(id % 4 + 1) / 4.0;
     return copy;
   }
-  void on_cache_fill(object::ObjectId, sim::Tick, double) override {}
-  void on_cache_evict(object::ObjectId) override {}
+  void on_cache_fill(object::ObjectId, sim::Tick) override {}
 
   mutable std::map<object::ObjectId, int> calls;
 };

@@ -8,11 +8,6 @@
 //    actually caching the object, no stale copy exists in kInvalidate
 //    mode, and no lease copy outlives its expiry. 3 modes x
 //    distinct/identical interests x 35 seeds = 210 seeded configs.
-//  * Differential lock — with coherence disabled, the CoopCluster engine
-//    is bit-identical (field for field, every tick) to the pre-coherence
-//    loop kept verbatim as detail::run_cooperative_reference, across
-//    modes, interests, thresholds, and policies: the protocol layer is
-//    provably zero-impact when off.
 //  * BaseStation peer tier — a station wired to a PeerCacheView fetches
 //    coherent peer copies at the discounted inter-station cost, the
 //    network accounting splits origin/peer/coherence units, and
@@ -216,16 +211,11 @@ TEST(CoherenceDirectory, FillEvictStateMachine) {
   EXPECT_EQ(dir.state(1, 2), CoherenceState::kShared);
   EXPECT_EQ(dir.state(0, 2), CoherenceState::kShared);
   EXPECT_EQ(dir.sharer_mask(2), 0b011u);
-  // Evicting one promotes the survivor back to Exclusive.
-  dir.on_evict(0, 2);
-  EXPECT_EQ(dir.state(0, 2), CoherenceState::kInvalid);
-  EXPECT_EQ(dir.state(1, 2), CoherenceState::kExclusive);
-  // Re-fill of the sole sharer stays Exclusive.
-  dir.on_fill(1, 2, 2);
-  EXPECT_EQ(dir.state(1, 2), CoherenceState::kExclusive);
-  // Evicting a non-sharer is a no-op.
-  dir.on_evict(2, 2);
-  EXPECT_EQ(dir.sharer_count(2), 1u);
+  // Re-fill of a sole sharer stays Exclusive.
+  dir.on_fill(2, 3, 2);
+  dir.on_fill(2, 3, 3);
+  EXPECT_EQ(dir.state(2, 3), CoherenceState::kExclusive);
+  EXPECT_EQ(dir.sharer_count(3), 1u);
 }
 
 TEST(CoherenceDirectory, InvalidateModeKillsEverySharer) {
@@ -303,73 +293,6 @@ TEST(CoherenceFuzz, PropagateInvariantsHoldAcross70Configs) {
 
 TEST(CoherenceFuzz, LeaseInvariantsHoldAcross70Configs) {
   fuzz_mode(ConsistencyMode::kLease);
-}
-
-// ----------------------------------------------------- differential lock
-
-TEST(CoherenceDifferential, CoherenceOffIsBitIdenticalToReference) {
-  for (const FetchMode mode :
-       {FetchMode::kOriginOnly, FetchMode::kNeighborFirst}) {
-    for (const bool distinct : {false, true}) {
-      for (const double threshold : {0.3, 0.99}) {
-        for (const std::uint64_t seed : {7ull, 21ull, 42ull}) {
-          SCOPED_TRACE(std::string(fetch_mode_name(mode)) +
-                       (distinct ? " distinct" : " identical") +
-                       " threshold " + std::to_string(threshold) + " seed " +
-                       std::to_string(seed));
-          CoopConfig config;
-          config.cell_count = 3;
-          config.object_count = 48;
-          config.requests_per_tick_per_cell = 15;
-          config.warmup_ticks = 8;
-          config.measure_ticks = 40;
-          config.budget_per_cell = 20;
-          config.mode = mode;
-          config.distinct_interests = distinct;
-          config.neighbor_recency_threshold = threshold;
-          config.seed = seed;
-          std::vector<CoopResult> ref_series, eng_series;
-          const CoopResult ref =
-              detail::run_cooperative_reference(config, &ref_series);
-          const CoopResult eng = run_cooperative(config, &eng_series);
-          expect_identical(ref, eng);
-          ASSERT_EQ(ref_series.size(), eng_series.size());
-          for (std::size_t t = 0; t < ref_series.size(); ++t) {
-            expect_identical(ref_series[t], eng_series[t]);
-          }
-          // Coherence-off results carry no protocol traffic at all.
-          EXPECT_EQ(eng.invalidations, 0u);
-          EXPECT_EQ(eng.peer_hits, 0u);
-          EXPECT_EQ(eng.coherence_units, 0);
-        }
-      }
-    }
-  }
-}
-
-TEST(CoherenceDifferential, HoldsForOtherPolicies) {
-  for (const std::string& policy :
-       {std::string("on-demand-lowest-recency"),
-        std::string("async-round-robin"), std::string("download-all")}) {
-    SCOPED_TRACE(policy);
-    CoopConfig config;
-    config.cell_count = 2;
-    config.object_count = 30;
-    config.requests_per_tick_per_cell = 10;
-    config.warmup_ticks = 5;
-    config.measure_ticks = 25;
-    config.budget_per_cell = 15;
-    config.policy = policy;
-    config.seed = 13;
-    expect_identical(detail::run_cooperative_reference(config, nullptr),
-                     run_cooperative(config));
-  }
-}
-
-TEST(CoherenceDifferential, ReferenceRejectsCoherence) {
-  CoopConfig config = coherent_config(ConsistencyMode::kInvalidate, false, 1);
-  EXPECT_THROW(detail::run_cooperative_reference(config, nullptr),
-               std::invalid_argument);
 }
 
 // -------------------------------------------------- engine mode behavior

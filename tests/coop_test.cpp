@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "cache/cache.hpp"
+#include "obs/profiler.hpp"
+#include "workload/updates.hpp"
+
 namespace mobi::coop {
 namespace {
 
@@ -33,14 +42,10 @@ TEST(Cooperative, Validation) {
   config.measure_ticks = -2;
   EXPECT_THROW(run_cooperative(config), std::invalid_argument);
   EXPECT_THROW(CoopCluster cluster(config), std::invalid_argument);
-  EXPECT_THROW(detail::run_cooperative_reference(config, nullptr),
-               std::invalid_argument);
   config = small_config();
   config.warmup_ticks = -1;
   EXPECT_THROW(run_cooperative(config), std::invalid_argument);
   EXPECT_THROW(CoopCluster cluster(config), std::invalid_argument);
-  EXPECT_THROW(detail::run_cooperative_reference(config, nullptr),
-               std::invalid_argument);
   // Zero ticks is a valid, empty run.
   config.warmup_ticks = 0;
   config.measure_ticks = 0;
@@ -109,6 +114,99 @@ TEST(Cooperative, DistinctInterestsReduceOverlap) {
   config.distinct_interests = true;
   const auto disjoint = run_cooperative(config);
   EXPECT_LT(disjoint.neighbor_fraction(), shared.neighbor_fraction() + 1e-9);
+}
+
+TEST(Cooperative, NeighborInstallsAreStrictlyFresherThanTheCopyTheyReplace) {
+  // Coherence off, a cell still resolves each planned download with the
+  // station's rule: a neighbor copy only when it beats the cell's own
+  // copy, else the origin. So every refresh a tick makes leaves the entry
+  // strictly fresher than that tick's updates left it. The decays are
+  // predicted from a second update process with the same schedule.
+  for (const double threshold : {0.3, 0.5, 0.99}) {
+    SCOPED_TRACE("threshold " + std::to_string(threshold));
+    auto config = small_config();
+    config.mode = FetchMode::kNeighborFirst;
+    config.policy = "on-demand-knapsack";
+    config.neighbor_recency_threshold = threshold;
+    CoopCluster cluster(config);
+    const auto updates = workload::make_periodic_staggered(
+        config.object_count, config.update_period);
+    const std::size_t cells = cluster.cell_count();
+    const std::size_t objects = config.object_count;
+    std::vector<double> after_updates(cells * objects);
+    std::vector<std::uint32_t> refreshes_before(cells * objects);
+    std::size_t refreshes = 0;
+    std::size_t not_fresher = 0;
+    const sim::Tick total = config.warmup_ticks + config.measure_ticks;
+    for (sim::Tick t = 0; t < total; ++t) {
+      for (std::size_t c = 0; c < cells; ++c) {
+        const cache::Cache& cache = cluster.cell_cache(c);
+        for (object::ObjectId id = 0; id < objects; ++id) {
+          const bool cached = cache.contains(id);
+          after_updates[c * objects + id] = cache.recency_or_zero(id);
+          refreshes_before[c * objects + id] =
+              cached ? cache.entry(id).refreshes : 0;
+        }
+      }
+      updates->for_each_updated(t, [&](object::ObjectId id) {
+        for (std::size_t c = 0; c < cells; ++c) {
+          const cache::Cache& cache = cluster.cell_cache(c);
+          if (!cache.contains(id)) continue;
+          double& x = after_updates[c * objects + id];
+          x = cache.decay_model().decayed(x);
+        }
+      });
+      cluster.tick();
+      for (std::size_t c = 0; c < cells; ++c) {
+        const cache::Cache& cache = cluster.cell_cache(c);
+        for (object::ObjectId id = 0; id < objects; ++id) {
+          const std::size_t slot = c * objects + id;
+          if (!cache.contains(id) ||
+              cache.entry(id).refreshes == refreshes_before[slot]) {
+            continue;
+          }
+          ++refreshes;
+          if (!(cache.recency_or_zero(id) > after_updates[slot])) {
+            ++not_fresher;
+          }
+        }
+      }
+    }
+    EXPECT_GT(refreshes, 0u);
+    EXPECT_EQ(not_fresher, 0u) << "of " << refreshes << " refreshes";
+    // No directory, so no protocol traffic or discounted peer accounting.
+    const CoopResult& r = cluster.result();
+    EXPECT_GT(r.neighbor_fetches, 0u);
+    EXPECT_EQ(r.peer_hits + r.invalidations + r.propagations +
+                  r.lease_expiries,
+              0u);
+    EXPECT_EQ(r.peer_fetch_units + r.coherence_units, 0);
+  }
+}
+
+TEST(Cooperative, StationPhasesNestUnderCoopCells) {
+  // The cluster hands its profiler to every cell's station, so the
+  // station's spans open inside `coop.cells`, once per cell per tick.
+  const auto config = small_config();
+  CoopCluster cluster(config);
+  obs::PhaseProfiler profiler;
+  cluster.set_profiler(&profiler);
+  const std::uint64_t ticks = 12;
+  for (std::uint64_t t = 0; t < ticks; ++t) cluster.tick();
+  EXPECT_EQ(profiler.calls(profiler.phase("coop.cells")), ticks);
+  for (const char* name : {"bs.select", "bs.serve"}) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(profiler.calls(profiler.phase(name)),
+              cluster.cell_count() * ticks);
+  }
+  std::istringstream lines(profiler.flamegraph_collapsed());
+  std::size_t station_paths = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("bs.") == std::string::npos) continue;
+    ++station_paths;
+    EXPECT_EQ(line.rfind("coop.cells;bs.", 0), 0u) << line;
+  }
+  EXPECT_GE(station_paths, 2u);
 }
 
 TEST(Cooperative, DeterministicUnderSeed) {
