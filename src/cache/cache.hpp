@@ -83,18 +83,20 @@ class Cache {
   /// True when the cached copy is older than `server_version` (or absent).
   bool is_stale(object::ObjectId id, server::Version server_version) const;
 
-  /// Records a read served from the cache (hit/miss accounting only).
-  /// Inline: the serve loop calls it per request.
-  void record_read(object::ObjectId id) {
+  /// Records a read served from the cache (hit/miss accounting) and
+  /// returns the served copy's recency; nullopt on a miss. Inline: the
+  /// serve loop calls it once per request.
+  std::optional<double> record_read(object::ObjectId id) {
     check(id);
     auto& slot = entries_[id];
-    if (slot) {
-      ++slot->hits;
-      ++stats_.hits;
-    } else {
-      ++stats_.misses;
-    }
     if (metrics_) count_read(slot.has_value());
+    if (!slot) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++slot->hits;
+    ++stats_.hits;
+    return slot->recency;
   }
 
   /// Drops the cached copy of `id` (no-op when absent). Returns whether a

@@ -1,6 +1,7 @@
 #include "core/base_station.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "net/fault_injector.hpp"
@@ -26,9 +27,6 @@ BaseStation::BaseStation(const object::Catalog& catalog,
       downlink_(config.downlink_capacity) {
   if (!scorer_) throw std::invalid_argument("BaseStation: null scorer");
   if (!policy_) throw std::invalid_argument("BaseStation: null policy");
-  if (config.coalesce_downlink) {
-    sent_epoch_.assign(catalog.size(), 0);  // epoch 0 = never sent
-  }
   if (config.fetch_retry_limit > 0) ensure_fault_scratch();
 }
 
@@ -79,10 +77,8 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   result.tick = now;
   result.requests = batch.size();
 
-  // The serve epoch stamps both "sent this tick" (downlink coalescing)
-  // and "fetch failed this tick" (degraded-serve accounting), so bump it
-  // before any phase can stamp. Values only ever compare for equality,
-  // so bumping here rather than before the serve loop changes nothing.
+  // The serve epoch stamps "fetch failed this tick" (degraded-serve
+  // accounting), so bump it before the retry and fetch phases can stamp.
   ++serve_epoch_;
   if (fault_) fault_->begin_tick(now);
   if (tracer_) tracer_->begin_tick(now);
@@ -191,7 +187,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
           result.peer_units += cost;
           result.peer_object_units += fetched.size;
           ++result.peer_fetches;
-          network_.record_peer_units(cost);
           if (tracer_) tracer_->on_fetch_done(id, 0);
           continue;
         }
@@ -248,21 +243,18 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   }
 
   // Serve every request from the (now partially refreshed) cache and push
-  // the payload onto the downlink. In coalescing mode the downlink is a
-  // broadcast: one transmission per distinct object serves all of its
-  // requesters this tick. "Sent this tick" is an epoch stamp, so starting
-  // a fresh tick is one counter bump instead of an O(catalog) clear
-  // (the bump happened at the top of this function).
+  // each cached copy's payload onto the downlink. One cache read per
+  // request gives both the copy's recency and whether there is one.
   {
     obs::ScopedPhase phase(profiler_, phase_ids_.serve);
     phase.add_cost(batch.size());
     for (const workload::Request& request : batch) {
-      cache_.record_read(request.object);
-      const double x = cache_.recency_or_zero(request.object);
+      const std::optional<double> copy = cache_.record_read(request.object);
+      const bool cached = copy.has_value();
+      const double x = copy.value_or(0.0);
       result.recency_sum += x;
       const double score = scorer_->score(x, request.target_recency);
       result.score_sum += score;
-      const bool cached = cache_.contains(request.object);
       const bool degraded =
           fault_scratch && failed_stamp_[request.object] == serve_epoch_;
       if (degraded) {
@@ -293,15 +285,7 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
         }
       }
       if (cached) {
-        if (config_.coalesce_downlink) {
-          if (sent_epoch_[request.object] == serve_epoch_) {
-            if (metrics_) inst_.coalesced_responses->add();
-            continue;
-          }
-          sent_epoch_[request.object] = serve_epoch_;
-        }
-        // The chunk carries its requester for the tracer; a coalesced
-        // chunk keeps its first requester's.
+        // The chunk carries its requester for the tracer.
         downlink_.enqueue(catalog_->object_size(request.object),
                           {request.object, request.client, sampled});
       }
@@ -351,8 +335,6 @@ void BaseStation::set_metrics(obs::MetricsRegistry* registry,
       &registry->register_counter(prefix + ".units_downloaded");
   inst_.peer_fetches = &registry->register_counter(prefix + ".peer_fetches");
   inst_.peer_units = &registry->register_counter(prefix + ".peer_units");
-  inst_.coalesced_responses =
-      &registry->register_counter(prefix + ".coalesced_responses");
   inst_.fault_retries = &registry->register_counter(prefix + ".fault.retries");
   inst_.fault_retry_successes =
       &registry->register_counter(prefix + ".fault.retry_successes");

@@ -41,10 +41,6 @@ struct BaseStationConfig {
   object::Units download_budget = -1;
   /// Wireless downlink (base station -> clients), units per tick.
   object::Units downlink_capacity = 100;
-  /// When true, the downlink is treated as a broadcast medium: one
-  /// transmission of an object serves every client that requested it this
-  /// tick (response coalescing). When false each response is unicast.
-  bool coalesce_downlink = false;
   /// Maximum retry attempts per failed fetch (0 = seed behavior: fail
   /// once, serve stale, never re-enqueue). With retries on, a failed
   /// fetch is re-enqueued with exponential backoff — 1, 2, 4, ... ticks
@@ -141,17 +137,13 @@ class BaseStation {
   const DownloadPolicy& policy() const noexcept { return *policy_; }
   const RecencyScorer& scorer() const noexcept { return *scorer_; }
   const RunTotals& totals() const noexcept { return totals_; }
-  object::Units download_budget() const noexcept { return config_.download_budget; }
-  void set_download_budget(object::Units budget) noexcept {
-    config_.download_budget = budget;
-  }
 
   /// Registers this station's metrics under `prefix` — serve mix
   /// (`<prefix>.requests/.hits/.stale_serves/.fresh_serves`), fetch
-  /// accounting (`.fetches/.failed_fetches/.units_downloaded/
-  /// .coalesced_responses`), per-tick budget gauges (`.budget_spent/
-  /// .budget_left`), a per-tick score gauge (`.tick_score_avg`) and a
-  /// sim-time fixed-network completion histogram (`.fetch_latency`) — and
+  /// accounting (`.fetches/.failed_fetches/.units_downloaded`), per-tick
+  /// budget gauges (`.budget_spent/.budget_left`), a per-tick score gauge
+  /// (`.tick_score_avg`) and a sim-time fixed-network completion
+  /// histogram (`.fetch_latency`) — and
   /// wires the owned cache (`<prefix>.cache.*`) and downlink
   /// (`<prefix>.downlink.*`) into the same registry. Pass nullptr to
   /// detach; the detached hot path costs one branch per tick section.
@@ -170,10 +162,6 @@ class BaseStation {
   /// nullptr detaches everywhere.
   void set_request_tracer(obs::RequestTracer* tracer) noexcept;
 
-  const obs::RequestTracer* request_tracer() const noexcept {
-    return tracer_;
-  }
-
   /// Attaches a phase profiler: the tick sections run under ScopedPhase
   /// spans (`bs.retry` / `bs.select` / `bs.fetch` / `bs.serve` with a
   /// nested `bs.downlink`) carrying deterministic sim costs — retries
@@ -182,8 +170,6 @@ class BaseStation {
   /// attach one per driving thread. nullptr (the default) detaches and
   /// costs one branch per section.
   void set_profiler(obs::PhaseProfiler* profiler);
-
-  obs::PhaseProfiler* profiler() const noexcept { return profiler_; }
 
   /// Attaches a fault injector: its per-tick windows are advanced at the
   /// top of process_batch, fetch-failure draws gate every remote fetch,
@@ -195,8 +181,6 @@ class BaseStation {
   /// injector (empty plan) draws nothing and the tick stream is
   /// bit-identical to the detached path.
   void set_fault_injector(net::FaultInjector* injector);
-
-  const net::FaultInjector* fault_injector() const noexcept { return fault_; }
 
   /// Attaches a coherent peer-cache view (core/peer_source.hpp): the
   /// policy context gains the peer tier, and the fetch phase resolves
@@ -210,8 +194,6 @@ class BaseStation {
   /// before the peer tier existed.
   void set_peer_source(PeerSource* peers) noexcept { peers_ = peers; }
 
-  const PeerSource* peer_source() const noexcept { return peers_; }
-
   /// Attaches a mobility residency probe (core/residency.hpp): the policy
   /// context's knapsack benefit is scaled per requesting client by the
   /// probability the client is still resident when the fetch lands.
@@ -221,8 +203,6 @@ class BaseStation {
   void set_residency_probe(const ResidencyProbe* probe) noexcept {
     residency_ = probe;
   }
-
-  const ResidencyProbe* residency_probe() const noexcept { return residency_; }
 
   /// Objects currently awaiting a backoff retry (tests/diagnostics).
   std::size_t retry_queue_depth() const noexcept { return retry_queue_.size(); }
@@ -257,11 +237,11 @@ class BaseStation {
   RunTotals totals_;
 
   // Per-batch scratch retained across ticks (docs/performance.md): fetch
-  // list, transfer sizes, and the epoch-stamped coalesce array that
-  // replaces a per-tick O(catalog) clear with one counter bump.
+  // list and transfer sizes. serve_epoch_ counts process_batch calls; a
+  // per-object stamp equal to it means "this tick", so starting a tick is
+  // one counter bump instead of an O(catalog) clear.
   std::vector<object::ObjectId> to_fetch_;
   std::vector<object::Units> transfer_sizes_;
-  std::vector<std::uint64_t> sent_epoch_;
   std::uint64_t serve_epoch_ = 0;
 
   // Resilience state (allocated lazily by ensure_fault_scratch, only when
@@ -288,7 +268,6 @@ class BaseStation {
     obs::Counter* units_downloaded = nullptr;
     obs::Counter* peer_fetches = nullptr;
     obs::Counter* peer_units = nullptr;
-    obs::Counter* coalesced_responses = nullptr;
     obs::Counter* fault_retries = nullptr;
     obs::Counter* fault_retry_successes = nullptr;
     obs::Counter* fault_retry_exhausted = nullptr;

@@ -1,14 +1,16 @@
 #include "exp/event_sim.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "cache/cache.hpp"
 #include "cache/decay.hpp"
+#include "core/base_station.hpp"
 #include "core/policy.hpp"
 #include "core/scoring.hpp"
-#include "net/ps_link.hpp"
 #include "object/builders.hpp"
 #include "server/remote_server.hpp"
 #include "sim/simulator.hpp"
@@ -32,27 +34,26 @@ EventSimResult run_event_sim(const EventSimConfig& config) {
   const object::Catalog catalog = object::make_random_catalog(
       config.object_count, config.size_lo, config.size_hi, rng);
   server::ServerPool servers(catalog, 1);
-  cache::Cache cache(catalog.size(), cache::make_harmonic_decay());
-  core::ReciprocalScorer scorer;
-  const auto policy = core::make_policy(config.policy);
+  core::BaseStationConfig station_config;
+  station_config.download_budget = config.budget_per_batch;
+  // Room for the responses of a batch of the mean size, so the downlink
+  // (which nothing here reads) keeps a small backlog.
+  station_config.downlink_capacity = std::max<object::Units>(
+      1, object::Units(std::ceil(config.request_rate * config.batching_window)) *
+             config.size_hi);
+  core::BaseStation station(catalog, servers, cache::make_harmonic_decay(),
+                            std::make_unique<core::ReciprocalScorer>(),
+                            core::make_policy(config.policy), station_config);
   const auto access =
       workload::make_zipf_access(config.object_count, config.zipf_alpha);
 
   sim::Simulator simulator;
-  std::unique_ptr<net::PsLink> fetch_link;
-  if (config.fetch_bandwidth > 0.0) {
-    fetch_link = std::make_unique<net::PsLink>(simulator,
-                                               config.fetch_bandwidth);
-  }
-  util::Summary fetch_times;
   util::Rng arrival_rng = rng.split();
   util::Rng update_rng = rng.split();
 
-  struct Pending {
-    workload::Request request;
-    sim::SimTime arrived = 0.0;
-  };
-  std::vector<Pending> pending;
+  // The requests waiting for the next batch run, and when each arrived.
+  workload::RequestBatch batch;
+  std::vector<sim::SimTime> arrived;
   EventSimResult result;
   double score_sum = 0.0;
   util::Summary delays;
@@ -66,9 +67,9 @@ EventSimResult run_event_sim(const EventSimConfig& config) {
   {
     auto arrival = std::make_shared<std::function<void()>>();
     *arrival = [&, raw = arrival.get()] {
-      pending.push_back(Pending{
-          workload::Request{access->sample(arrival_rng), 1.0, next_client++},
-          simulator.now()});
+      batch.push_back(
+          workload::Request{access->sample(arrival_rng), 1.0, next_client++});
+      arrived.push_back(simulator.now());
       simulator.schedule_in(arrival_rng.exponential(config.request_rate),
                             *raw);
     };
@@ -82,8 +83,7 @@ EventSimResult run_event_sim(const EventSimConfig& config) {
     for (object::ObjectId id = 0; id < config.object_count; ++id) {
       auto update = std::make_shared<std::function<void()>>();
       *update = [&, id, raw = update.get()] {
-        servers.apply_update(id, sim::Tick(simulator.now()));
-        cache.on_server_update(id);
+        station.on_server_update(id, sim::Tick(simulator.now()));
         ++result.updates;
         simulator.schedule_in(update_rng.exponential(config.update_rate),
                               *raw);
@@ -94,48 +94,21 @@ EventSimResult run_event_sim(const EventSimConfig& config) {
     }
   }
 
-  // Periodic batch service.
+  // Periodic batch service: the station selects, fetches and serves the
+  // whole batch at the current time.
   simulator.schedule_every(config.batching_window, config.batching_window, [&] {
-    if (pending.empty()) {
-      ++result.batches;
-      return;
-    }
-    workload::RequestBatch batch;
-    batch.reserve(pending.size());
-    for (const Pending& p : pending) batch.push_back(p.request);
-
-    core::PolicyContext ctx;
-    ctx.catalog = &catalog;
-    ctx.cache = &cache;
-    ctx.servers = &servers;
-    ctx.scorer = &scorer;
-    ctx.now = sim::Tick(simulator.now());
-    ctx.budget = config.budget_per_batch;
-    const bool measured = simulator.now() >= config.warmup;
-    for (object::ObjectId id : policy->select(batch, ctx)) {
-      if (fetch_link) {
-        // The copy lands when its transfer completes; until then the
-        // clients keep seeing the stale entry.
-        fetch_link->submit(
-            catalog.object_size(id), [&, id](double start, double finish) {
-              cache.refresh(id, servers.fetch(id),
-                            sim::Tick(simulator.now()));
-              fetch_times.add(finish - start);
-            });
-      } else {
-        cache.refresh(id, servers.fetch(id), ctx.now);
-      }
-      if (measured) result.units_downloaded += catalog.object_size(id);
-    }
-    for (const Pending& p : pending) {
-      if (!measured) continue;
-      const double x = cache.recency_or_zero(p.request.object);
-      score_sum += scorer.score(x, p.request.target_recency);
-      delays.add(simulator.now() - p.arrived);
-      ++result.requests;
-    }
-    pending.clear();
     ++result.batches;
+    if (batch.empty()) return;
+    const core::TickResult served =
+        station.process_batch(batch, sim::Tick(simulator.now()));
+    if (simulator.now() >= config.warmup) {
+      result.requests += served.requests;
+      result.units_downloaded += served.units_downloaded;
+      score_sum += served.score_sum;
+      for (const sim::SimTime t : arrived) delays.add(simulator.now() - t);
+    }
+    batch.clear();
+    arrived.clear();
   });
 
   simulator.run_until(config.horizon);
@@ -145,7 +118,6 @@ EventSimResult run_event_sim(const EventSimConfig& config) {
   }
   result.mean_service_delay = delays.mean();
   result.max_service_delay = delays.max();
-  result.mean_fetch_time = fetch_times.mean();
   return result;
 }
 

@@ -3,11 +3,12 @@
 // The paper's tick model serves each time unit's requests instantly at
 // the tick boundary. In continuous time, requests arrive as a Poisson
 // process and the base station *batches* them: every `batching_window`
-// time units it runs its download policy over the accumulated batch and
-// answers everyone. Updates arrive as independent per-object Poisson
-// processes. The new trade-off this exposes: a longer window aggregates
-// more requests per knapsack run (better budget use, higher scores per
-// downloaded unit) but every request waits longer for service.
+// time units one core::BaseStation::process_batch call selects, fetches
+// and serves the accumulated batch, so this run shares the tick model's
+// select / fetch / serve path. Updates arrive as independent per-object
+// Poisson processes. The new trade-off this exposes: a longer window
+// aggregates more requests per knapsack run (better budget use, higher
+// scores per downloaded unit) but every request waits longer for service.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +30,6 @@ struct EventSimConfig {
   double batching_window = 1.0;
   /// Download budget per batch run, in units.
   object::Units budget_per_batch = 40;
-  /// Fixed-network bandwidth for fetches, units per time unit; fetched
-  /// objects land in the cache only when their transfer completes over a
-  /// processor-sharing link. 0 = instantaneous fetches (the tick model's
-  /// assumption).
-  double fetch_bandwidth = 0.0;
   std::string policy = "on-demand-knapsack";
   double horizon = 200.0;  // total simulated time
   double warmup = 40.0;    // measurement starts here
@@ -50,8 +46,6 @@ struct EventSimResult {
   object::Units units_downloaded = 0;
   std::uint64_t batches = 0;
   std::uint64_t updates = 0;
-  /// Mean fetch completion time (only when fetch_bandwidth > 0).
-  double mean_fetch_time = 0.0;
 };
 
 EventSimResult run_event_sim(const EventSimConfig& config);

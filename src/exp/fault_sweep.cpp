@@ -1,19 +1,26 @@
 #include "exp/fault_sweep.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mobi::exp {
+namespace {
 
-sim::FaultPlan fault_plan_at(const FaultSweepConfig& config, double rate) {
+// Secondary-category scales of the headline rate.
+constexpr double kSlowdownScale = 0.5;
+constexpr double kDropScale = 0.5;
+constexpr double kOutageScale = 0.2;
+
+}  // namespace
+
+sim::FaultPlan fault_plan_at(double rate) {
   if (rate < 0.0 || rate > 1.0) {
     throw std::invalid_argument("fault_plan_at: rate must be in [0, 1]");
   }
   sim::FaultPlan plan;
   plan.fetch_failure_rate = rate;
-  plan.fetch_slowdown_rate = std::min(1.0, rate * config.slowdown_scale);
-  plan.downlink_drop_rate = std::min(1.0, rate * config.drop_scale);
-  plan.server_outage_rate = std::min(1.0, rate * config.outage_scale);
+  plan.fetch_slowdown_rate = rate * kSlowdownScale;
+  plan.downlink_drop_rate = rate * kDropScale;
+  plan.server_outage_rate = rate * kOutageScale;
   return plan;
 }
 
@@ -27,7 +34,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
     FaultSweepPoint point;
     point.fault_rate = rate;
     PolicySimConfig sim = config.base;
-    sim.faults = fault_plan_at(config, rate);
+    sim.faults = fault_plan_at(rate);
     sim.policy = config.on_demand_policy;
     point.on_demand =
         run_policy_sim(sim, {.recorder = record ? recorder : nullptr});

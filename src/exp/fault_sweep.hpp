@@ -3,9 +3,10 @@
 // asynchronous round-robin baseline.
 //
 // One headline `fault_rate` drives every fault category through fixed
-// scales (fetch failures at the full rate; congestion slowdowns, downlink
-// drops and per-server outages at fractions of it), so each sweep point
-// is a progressively harsher world rather than a single failure mode.
+// scales (fault_plan_at: fetch failures at the full rate; congestion
+// slowdowns, downlink drops and per-server outages at fractions of it),
+// so each sweep point is a progressively harsher world rather than a
+// single failure mode. The soak ramp (exp/soak.hpp) uses the same mapping.
 // The expected shape — the acceptance bar for the chaos suite — is
 // graceful degradation: recency falls monotonically-ish with the fault
 // rate but the run never stalls, and the request-driven policy, which
@@ -30,17 +31,11 @@ struct FaultSweepConfig {
   /// overwritten per point. Defaults to a 4-server backend with a
   /// 3-attempt retry budget so every resilience path is exercised.
   PolicySimConfig base;
-  /// Headline fault rates to sweep (each also scales the secondary
-  /// categories below).
+  /// Headline fault rates to sweep (each point's plan is
+  /// fault_plan_at(rate)).
   std::vector<double> fault_rates = {0.0, 0.05, 0.1, 0.2, 0.3};
   std::string on_demand_policy = "on-demand-knapsack";
   std::string async_policy = "async-round-robin";
-  /// Secondary-category scales: at headline rate r the plan carries
-  /// fetch failures at r, congestion slowdowns at r*slowdown_scale,
-  /// downlink drops at r*drop_scale, server outages at r*outage_scale.
-  double slowdown_scale = 0.5;
-  double drop_scale = 0.5;
-  double outage_scale = 0.2;
 
   FaultSweepConfig() {
     base.server_count = 4;
@@ -48,9 +43,11 @@ struct FaultSweepConfig {
   }
 };
 
-/// The fault plan a sweep runs at headline rate `rate` (exposed so tests
-/// can pin the mapping).
-sim::FaultPlan fault_plan_at(const FaultSweepConfig& config, double rate);
+/// The fault plan at headline rate r in [0, 1]: fetch failures at r,
+/// congestion slowdowns at r/2, downlink drops at r/2 and per-server
+/// outages at r/5. Throws std::invalid_argument outside [0, 1]. Shared by
+/// the sweep and the soak ramp, and exposed so tests can pin the mapping.
+sim::FaultPlan fault_plan_at(double rate);
 
 struct FaultSweepPoint {
   double fault_rate = 0.0;

@@ -1,12 +1,12 @@
 #include "exp/soak.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include <optional>
 
+#include "exp/fault_sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
@@ -22,13 +22,7 @@ sim::FaultPlan soak_plan_at(const SoakConfig& config, std::size_t window) {
   const double frac = config.windows > 1
                           ? double(window) / double(config.windows - 1)
                           : 0.0;
-  const double rate = config.fault_rate_lo + span * frac;
-  sim::FaultPlan plan;
-  plan.fetch_failure_rate = rate;
-  plan.fetch_slowdown_rate = std::min(1.0, rate * config.slowdown_scale);
-  plan.downlink_drop_rate = std::min(1.0, rate * config.drop_scale);
-  plan.server_outage_rate = std::min(1.0, rate * config.outage_scale);
-  return plan;
+  return fault_plan_at(config.fault_rate_lo + span * frac);
 }
 
 std::vector<obs::SloObjective> default_soak_slos() {

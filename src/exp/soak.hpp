@@ -35,14 +35,11 @@ struct SoakConfig {
   sim::Tick window_warmup = 30;
 
   /// Headline fault-rate ramp across the horizon: window w runs at
-  /// lerp(lo, hi, w / (windows - 1)). Equal lo/hi soaks at a constant
-  /// rate; the default ramp exercises graceful degradation end to end.
+  /// fault_plan_at(lerp(lo, hi, w / (windows - 1))), the fault sweep's
+  /// mapping. Equal lo/hi soaks at a constant rate; the default ramp
+  /// exercises graceful degradation end to end.
   double fault_rate_lo = 0.0;
   double fault_rate_hi = 0.3;
-  /// Secondary-category scales (same mapping as FaultSweepConfig).
-  double slowdown_scale = 0.5;
-  double drop_scale = 0.5;
-  double outage_scale = 0.2;
 
   /// Station-leg template; `faults`, `seed` and the tick counts are
   /// overridden per window.

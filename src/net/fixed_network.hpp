@@ -23,16 +23,9 @@ class FaultInjector;
 
 struct TransferStats {
   std::uint64_t transfers = 0;
-  /// Units pulled from the origin over the fixed network (the only
-  /// source class before coherent peer caching; both batch entry points
-  /// account here).
+  /// Units pulled from the origin over the fixed network (both batch
+  /// entry points account here).
   object::Units units = 0;
-  /// Units copied from peer base stations over the inter-station link
-  /// (discounted budget weight; see core/peer_source.hpp).
-  object::Units peer_units = 0;
-  /// Units spent pushing propagated updates to sharers (the coherence
-  /// protocol's own wire traffic; coop/coherence.hpp kPropagate).
-  object::Units coherence_units = 0;
   double total_time = 0.0;  // summed per-transfer completion times
 
   double mean_time() const noexcept {
@@ -61,17 +54,6 @@ class FixedNetwork {
   /// slowdown factor. With no injector — or an idle one — the stats are
   /// bit-identical to submit_batch's.
   double record_batch_completion(const std::vector<object::Units>& sizes);
-
-  /// Accounts units copied from a peer base station (inter-station link;
-  /// no fixed-network transfer, no latency contribution).
-  void record_peer_units(object::Units units) noexcept {
-    stats_.peer_units += units;
-  }
-
-  /// Accounts coherence-protocol wire traffic (propagated updates).
-  void record_coherence_units(object::Units units) noexcept {
-    stats_.coherence_units += units;
-  }
 
   /// Attaches the fault injector consulted by record_batch_completion;
   /// nullptr (the default) detaches.

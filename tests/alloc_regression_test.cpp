@@ -108,11 +108,11 @@ namespace {
 // a few server updates per tick so the policy always has real work, and
 // asserts that `measured_passes` over the batch pool allocate nothing
 // after `warmup_passes` have grown every buffer.
-void run_steady_state(const std::string& policy, bool coalesce,
+void run_steady_state(const std::string& policy,
                       const sim::FaultPlan* faults = nullptr,
                       std::size_t fetch_retry_limit = 0,
                       obs::RequestTracer* tracer = nullptr) {
-  SCOPED_TRACE(policy + (coalesce ? " +coalesce" : "") +
+  SCOPED_TRACE(policy +
                (faults ? (faults->empty() ? " +idle-injector"
                                           : " +active-faults")
                        : "") +
@@ -126,7 +126,6 @@ void run_steady_state(const std::string& policy, bool coalesce,
   server::ServerPool servers(catalog, faults ? 4 : 1);
   core::BaseStationConfig config;
   config.download_budget = object::Units(kObjects) / 4;
-  config.coalesce_downlink = coalesce;
   config.downlink_capacity = 1 << 20;  // drains every tick (see header note)
   config.fetch_retry_limit = fetch_retry_limit;
   core::BaseStation station(catalog, servers, cache::make_harmonic_decay(),
@@ -183,15 +182,11 @@ TEST(AllocRegression, HooksObserveAllocations) {
 }
 
 TEST(AllocRegression, KnapsackPolicySteadyStateIsAllocationFree) {
-  run_steady_state("on-demand-knapsack", false);
-}
-
-TEST(AllocRegression, KnapsackPolicyCoalescingSteadyStateIsAllocationFree) {
-  run_steady_state("on-demand-knapsack", true);
+  run_steady_state("on-demand-knapsack");
 }
 
 TEST(AllocRegression, GreedyPolicySteadyStateIsAllocationFree) {
-  run_steady_state("on-demand-knapsack-greedy", false);
+  run_steady_state("on-demand-knapsack-greedy");
 }
 
 TEST(AllocRegression, ParallelKnapsackEngineSteadyStateIsAllocationFree) {
@@ -238,7 +233,7 @@ TEST(AllocRegression, IdleInjectorSteadyStateIsAllocationFree) {
   // An attached injector with an empty plan must be indistinguishable
   // from no injector on the allocation axis too.
   const sim::FaultPlan empty;
-  run_steady_state("on-demand-knapsack", false, &empty);
+  run_steady_state("on-demand-knapsack", &empty);
 }
 
 TEST(AllocRegression, AttachedTracerSteadyStateIsAllocationFree) {
@@ -256,7 +251,7 @@ TEST(AllocRegression, AttachedTracerSteadyStateIsAllocationFree) {
   obs::RequestTracer tracer(config);
   obs::MetricsRegistry registry;
   tracer.register_histograms(&registry);
-  run_steady_state("on-demand-knapsack", false, &plan, 3, &tracer);
+  run_steady_state("on-demand-knapsack", &plan, 3, &tracer);
   EXPECT_EQ(tracer.log().size(), tracer.log().capacity());
   EXPECT_GT(tracer.log().dropped(), 0u);
   EXPECT_GT(registry.find_histogram("lat.served_recency_gap")->total(), 0u);
@@ -272,7 +267,7 @@ TEST(AllocRegression, ActiveFaultPlanSteadyStateIsAllocationFree) {
   plan.downlink_drop_rate = 0.1;
   plan.server_outage_rate = 0.05;
   plan.server_outage_ticks = 4;
-  run_steady_state("on-demand-knapsack", false, &plan, 3);
+  run_steady_state("on-demand-knapsack", &plan, 3);
 }
 
 TEST(AllocRegression, CoherentCoopClusterSteadyStateIsAllocationFree) {

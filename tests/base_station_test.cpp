@@ -101,15 +101,6 @@ TEST(BaseStation, KnapsackBudgetIsRespected) {
   EXPECT_DOUBLE_EQ(result.average_score(), 0.75);
 }
 
-TEST(BaseStation, SetDownloadBudget) {
-  BaseStationConfig config;
-  config.download_budget = 1;
-  Fixture fx({1, 1}, "on-demand-knapsack", config);
-  fx.station.set_download_budget(2);
-  const auto result = fx.station.process_batch(requests_for({0, 1}), 0);
-  EXPECT_EQ(result.units_downloaded, 2);
-}
-
 TEST(BaseStation, TotalsAccumulateAcrossTicks) {
   Fixture fx({1, 1}, "download-all");
   fx.station.process_batch(requests_for({0}), 0);
@@ -164,22 +155,8 @@ TEST(BaseStation, EmptyBatchIsHarmless) {
   EXPECT_EQ(result.objects_downloaded, 0u);
 }
 
-TEST(BaseStation, CoalescedDownlinkSendsEachObjectOnce) {
-  BaseStationConfig config;
-  config.coalesce_downlink = true;
-  config.downlink_capacity = 100;
-  Fixture fx({4, 4}, "download-all", config);
-  // Five clients ask for object 0, one for object 1: broadcast needs only
-  // 2 transmissions = 8 units, not 24.
-  const auto result =
-      fx.station.process_batch(requests_for({0, 0, 0, 0, 0, 1}), 0);
-  EXPECT_EQ(result.downlink_delivered, 8);
-  EXPECT_EQ(fx.station.downlink().queued(), 0);
-}
-
 TEST(BaseStation, UnicastDownlinkSendsPerRequest) {
   BaseStationConfig config;
-  config.coalesce_downlink = false;
   config.downlink_capacity = 100;
   Fixture fx({4, 4}, "download-all", config);
   const auto result =
@@ -248,33 +225,6 @@ TEST(BaseStation, TracedDeliveriesBelongToSampledRequests) {
   EXPECT_EQ(registry.find_histogram("lat.queue_wait")->total(),
             std::uint64_t(fx.station.downlink().delivered_total() / 2));
   EXPECT_GT(registry.find_histogram("lat.queue_wait")->total(), 2 * delivered);
-}
-
-// A coalesced chunk answers every requester of its object this tick but
-// is traced for the first one only: it yields at most one delivery event,
-// and none when that first requester was not sampled.
-TEST(BaseStation, CoalescedChunkIsTracedForItsFirstRequester) {
-  BaseStationConfig config;
-  config.coalesce_downlink = true;
-  config.downlink_capacity = 100;
-  Fixture fx({4, 4}, "download-all", config);
-  obs::MetricsRegistry registry;
-  obs::RequestTracer tracer(obs::RequestTracer::Config{2, 64});
-  tracer.register_histograms(&registry);
-  fx.station.set_request_tracer(&tracer);
-  // Arrivals 0 and 2 are sampled: object 0's chunk is tagged with client
-  // 5 (sampled), object 1's with client 6 (not sampled); clients 7 and 8
-  // share those chunks.
-  fx.station.process_batch({{0, 1.0, 5}, {1, 1.0, 6}, {1, 1.0, 7}, {0, 1.0, 8}},
-                           0);
-
-  EXPECT_EQ(registry.find_histogram("lat.queue_wait")->total(), 2u);
-  ASSERT_EQ(tracer.log().count(obs::EventKind::kDownlinkDelivered), 1u);
-  for (const obs::RequestEvent& e : tracer.log().events()) {
-    if (e.kind != obs::EventKind::kDownlinkDelivered) continue;
-    EXPECT_EQ(e.object, 0u);
-    EXPECT_EQ(e.client, 5u);
-  }
 }
 
 }  // namespace

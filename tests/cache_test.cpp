@@ -77,10 +77,13 @@ TEST(Cache, StalenessComparesVersions) {
 
 TEST(Cache, ReadAccounting) {
   auto cache = make_cache();
-  cache.record_read(0);  // miss
+  EXPECT_FALSE(cache.record_read(0).has_value());  // miss
   cache.refresh(0, fetched(1), 0);
-  cache.record_read(0);  // hit
-  cache.record_read(0);  // hit
+  EXPECT_EQ(cache.record_read(0), 1.0);  // hit, fresh copy
+  cache.on_server_update(0);
+  // A hit returns the served copy's recency, decayed or not.
+  EXPECT_EQ(cache.record_read(0), cache.recency(0));
+  EXPECT_LT(*cache.recency(0), 1.0);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.entry(0).hits, 2u);

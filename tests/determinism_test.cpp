@@ -130,7 +130,6 @@ TEST(Determinism, InstrumentedBaseStationBitIdenticalToBare) {
   const std::vector<object::Units> sizes(16, 2);
   core::BaseStationConfig config;
   config.download_budget = 6;
-  config.coalesce_downlink = true;
   sim::FaultPlan plan;
   plan.fetch_failure_rate = 0.3;
 

@@ -94,33 +94,6 @@ TEST(EventSim, DeterministicUnderSeed) {
   EXPECT_EQ(a.units_downloaded, b.units_downloaded);
 }
 
-TEST(EventSim, HugeFetchBandwidthNearlyMatchesInstantaneous) {
-  // With fetch_bandwidth set, a batch is served from the cache as it is
-  // and the refreshed copies land via completion events — so even an
-  // effectively instant link benefits the *next* batch, not this one.
-  // Scores therefore trail the instantaneous model slightly.
-  auto config = small_config();
-  config.fetch_bandwidth = 0.0;
-  const auto instant = run_event_sim(config);
-  config.fetch_bandwidth = 1e9;
-  const auto fast = run_event_sim(config);
-  EXPECT_EQ(fast.requests, instant.requests);
-  EXPECT_LE(fast.average_score, instant.average_score + 1e-9);
-  EXPECT_GT(fast.average_score, instant.average_score - 0.12);
-  EXPECT_GE(fast.mean_fetch_time, 0.0);
-  EXPECT_LT(fast.mean_fetch_time, 1e-3);
-}
-
-TEST(EventSim, SlowFetchLinkLowersScores) {
-  auto config = small_config();
-  config.fetch_bandwidth = 1e9;
-  const auto fast = run_event_sim(config);
-  config.fetch_bandwidth = 5.0;  // far below the demand rate
-  const auto slow = run_event_sim(config);
-  EXPECT_LT(slow.average_score, fast.average_score);
-  EXPECT_GT(slow.mean_fetch_time, fast.mean_fetch_time);
-}
-
 TEST(EventSim, BatchCountMatchesHorizon) {
   auto config = small_config();
   config.batching_window = 1.0;

@@ -318,14 +318,13 @@ TEST(FaultSweep, DegradesGracefullyUpToThirtyPercent) {
 }
 
 TEST(FaultSweep, PlanMappingIsPinned) {
-  exp::FaultSweepConfig config;
-  const sim::FaultPlan plan = exp::fault_plan_at(config, 0.2);
+  const sim::FaultPlan plan = exp::fault_plan_at(0.2);
   EXPECT_DOUBLE_EQ(plan.fetch_failure_rate, 0.2);
   EXPECT_DOUBLE_EQ(plan.fetch_slowdown_rate, 0.1);
   EXPECT_DOUBLE_EQ(plan.downlink_drop_rate, 0.1);
   EXPECT_DOUBLE_EQ(plan.server_outage_rate, 0.04);
-  EXPECT_TRUE(exp::fault_plan_at(config, 0.0).empty());
-  EXPECT_THROW(exp::fault_plan_at(config, 1.5), std::invalid_argument);
+  EXPECT_TRUE(exp::fault_plan_at(0.0).empty());
+  EXPECT_THROW(exp::fault_plan_at(1.5), std::invalid_argument);
 }
 
 TEST(FaultSweep, SameSeedIsReproducible) {

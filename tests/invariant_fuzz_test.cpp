@@ -47,7 +47,6 @@ TEST_P(PolicyFuzzTest, InvariantsHoldUnderRandomWorkloads) {
             ? object::Units(rng.uniform_int(0, 40))
             : -1;
     config.downlink_capacity = rng.uniform_int(1, 50);
-    config.coalesce_downlink = rng.bernoulli(0.5);
     // About three runs in ten see transient fetch faults.
     sim::FaultPlan plan;
     plan.fetch_failure_rate = rng.bernoulli(0.3) ? 0.2 : 0.0;
@@ -147,7 +146,6 @@ TEST_P(PolicyFuzzTest, InvariantsHoldUnderChaosFaultPlans) {
             ? object::Units(rng.uniform_int(0, 40))
             : -1;
     config.downlink_capacity = rng.uniform_int(1, 50);
-    config.coalesce_downlink = rng.bernoulli(0.5);
     config.fetch_retry_limit = std::size_t(rng.uniform_int(0, 3));
     BaseStation station(catalog, servers, cache::make_harmonic_decay(),
                         std::make_unique<ReciprocalScorer>(),

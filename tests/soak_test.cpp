@@ -42,11 +42,11 @@ TEST(Soak, FaultRampIsPinnedAndLinear) {
   EXPECT_DOUBLE_EQ(soak_plan_at(config, 0).fetch_failure_rate, 0.0);
   EXPECT_DOUBLE_EQ(soak_plan_at(config, 1).fetch_failure_rate, 0.15);
   EXPECT_DOUBLE_EQ(soak_plan_at(config, 2).fetch_failure_rate, 0.3);
-  // Secondary categories scale off the headline rate, capped at 1.
+  // Secondary categories scale off the headline rate, as in the sweep.
   const sim::FaultPlan last = soak_plan_at(config, 2);
-  EXPECT_DOUBLE_EQ(last.fetch_slowdown_rate, 0.3 * config.slowdown_scale);
-  EXPECT_DOUBLE_EQ(last.downlink_drop_rate, 0.3 * config.drop_scale);
-  EXPECT_DOUBLE_EQ(last.server_outage_rate, 0.3 * config.outage_scale);
+  EXPECT_DOUBLE_EQ(last.fetch_slowdown_rate, 0.15);
+  EXPECT_DOUBLE_EQ(last.downlink_drop_rate, 0.15);
+  EXPECT_DOUBLE_EQ(last.server_outage_rate, 0.06);
   // A flat soak holds the rate constant.
   config.fault_rate_hi = config.fault_rate_lo = 0.1;
   EXPECT_DOUBLE_EQ(soak_plan_at(config, 0).fetch_failure_rate, 0.1);
