@@ -23,7 +23,6 @@ BaseStation::BaseStation(const object::Catalog& catalog,
       scorer_(std::move(scorer)),
       policy_(std::move(policy)),
       config_(config),
-      network_(/*bandwidth=*/100.0, /*latency=*/1.0, /*contention=*/1.0),
       downlink_(config.downlink_capacity) {
   if (!scorer_) throw std::invalid_argument("BaseStation: null scorer");
   if (!policy_) throw std::invalid_argument("BaseStation: null policy");
@@ -32,13 +31,11 @@ BaseStation::BaseStation(const object::Catalog& catalog,
 
 void BaseStation::set_request_tracer(obs::RequestTracer* tracer) noexcept {
   tracer_ = tracer;
-  network_.set_tracer(tracer);
   downlink_.set_tracer(tracer);
 }
 
 void BaseStation::set_fault_injector(net::FaultInjector* injector) {
   fault_ = injector;
-  network_.set_fault_injector(injector);
   downlink_.set_fault_injector(injector);
   // An idle injector (empty plan) must be observably absent, so it gets
   // no fault scratch.
@@ -50,10 +47,6 @@ void BaseStation::ensure_fault_scratch() {
   failed_stamp_.assign(catalog_->size(), 0);  // stamp 0 = never failed
   retry_pending_.assign(catalog_->size(), 0);
   retry_queue_.reserve(catalog_->size());
-  // Hard per-tick bound: at most one retry success plus one policy fetch
-  // per catalog object. Without faults the warm-up high-water suffices;
-  // with them, fault timing must never force a mid-run reallocation.
-  transfer_sizes_.reserve(2 * catalog_->size());
 }
 
 bool BaseStation::fetch_blocked(object::ObjectId id) {
@@ -85,7 +78,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
 
   // Budget left after the retry phase; the policy selects within it.
   object::Units budget_left = config_.download_budget;
-  transfer_sizes_.clear();
   const bool fault_scratch = !failed_stamp_.empty();
 
   // Retry phase: previously failed fetches whose backoff expired go
@@ -135,7 +127,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
       const server::FetchResult fetched = servers_->fetch(entry.id);
       cache_.refresh(entry.id, fetched, now);
       if (peers_) peers_->on_cache_fill(entry.id, now);
-      transfer_sizes_.push_back(fetched.size);
       result.units_downloaded += fetched.size;
       ++result.objects_downloaded;
       ++result.retry_successes;
@@ -206,13 +197,20 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
       const server::FetchResult fetched = servers_->fetch(id);
       cache_.refresh(id, fetched, now);
       if (peers_) peers_->on_cache_fill(id, now);
-      transfer_sizes_.push_back(fetched.size);
       result.units_downloaded += fetched.size;
       ++result.objects_downloaded;
       if (tracer_) tracer_->on_fetch_done(id, 0);
     }
-    if (!transfer_sizes_.empty()) {
-      result.fetch_latency = network_.record_batch_completion(transfer_sizes_);
+    if (result.objects_downloaded > 0) {
+      // The tick's origin fetches complete together. A slowdown of 1.0
+      // multiplies exactly, so a healthy batch reads the fault-free time.
+      const double slowdown = fault_ ? fault_->draw_fetch_slowdown() : 1.0;
+      result.fetch_latency =
+          slowdown * (kFixedNetworkLatency + double(result.units_downloaded) /
+                                                 kFixedNetworkBandwidth);
+      if (tracer_) {
+        tracer_->on_net_batch(result.objects_downloaded, result.fetch_latency);
+      }
     }
   }
   if (metrics_) {
@@ -237,7 +235,7 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
     inst_.budget_left->set(config_.download_budget < 0
                                ? -1.0
                                : double(config_.download_budget - spent));
-    if (!transfer_sizes_.empty()) {
+    if (result.objects_downloaded > 0) {
       inst_.fetch_latency->observe(result.fetch_latency);
     }
   }

@@ -18,7 +18,6 @@
 #include "core/policy.hpp"
 #include "core/scoring.hpp"
 #include "net/downlink.hpp"
-#include "net/fixed_network.hpp"
 #include "object/object.hpp"
 #include "server/remote_server.hpp"
 #include "sim/tick.hpp"
@@ -52,6 +51,16 @@ struct BaseStationConfig {
   std::size_t fetch_retry_limit = 0;
 };
 
+/// The fixed network (base station <-> servers). A tick's origin fetches
+/// complete together after the latency plus their total units over the
+/// bandwidth, so TickResult::fetch_latency grows with the volume
+/// downloaded ("as the base station downloads more data over the fixed
+/// network, the overall latency may increase due to bandwidth
+/// contention", paper §1); an injected congestion fault multiplies it by
+/// the plan's slowdown factor.
+inline constexpr double kFixedNetworkLatency = 1.0;      // ticks
+inline constexpr double kFixedNetworkBandwidth = 100.0;  // units per tick
+
 struct TickResult {
   sim::Tick tick = 0;
   std::size_t requests = 0;
@@ -62,7 +71,7 @@ struct TickResult {
   object::Units peer_object_units = 0;  // full size of the peer-fetched copies
   double score_sum = 0.0;          // summed per-client recency scores
   double recency_sum = 0.0;        // summed raw recency of copies served
-  double fetch_latency = 0.0;      // fixed-network completion time
+  double fetch_latency = 0.0;      // fixed-network completion (see above)
   std::size_t failed_fetches = 0;  // injected fixed-network faults
   std::size_t retries = 0;         // retry attempts made this tick
   std::size_t retry_successes = 0;
@@ -131,9 +140,6 @@ class BaseStation {
   const cache::Cache& cache() const noexcept { return cache_; }
   cache::Cache& cache() noexcept { return cache_; }
   const net::WirelessDownlink& downlink() const noexcept { return downlink_; }
-  /// The fixed network (base station <-> servers): bandwidth 100 units
-  /// per tick, latency 1 tick, contention 1.
-  const net::FixedNetwork& network() const noexcept { return network_; }
   const DownloadPolicy& policy() const noexcept { return *policy_; }
   const RecencyScorer& scorer() const noexcept { return *scorer_; }
   const RunTotals& totals() const noexcept { return totals_; }
@@ -153,13 +159,13 @@ class BaseStation {
 
   /// Attaches sim-time request-lifecycle tracing: arrival/hit/degraded/
   /// delivery events in the serve loop, fetch/retry events on the fetch
-  /// paths, and (via the owned links) downlink and fixed-network events.
-  /// Each response queued on the downlink carries its request's sampling
-  /// decision, so only a sampled request's delivery is recorded. The tick
-  /// is stamped once per batch with RequestTracer::begin_tick, so the
-  /// links need no extra tick plumbing. Observation-only, same as
-  /// set_metrics: a traced run is bit-identical to an untraced one.
-  /// nullptr detaches everywhere.
+  /// paths, one fixed-network batch event per tick with an origin fetch,
+  /// and (via the owned downlink) downlink events. Each response queued on
+  /// the downlink carries its request's sampling decision, so only a
+  /// sampled request's delivery is recorded. The tick is stamped once per
+  /// batch with RequestTracer::begin_tick, so the downlink needs no extra
+  /// tick plumbing. Observation-only, same as set_metrics: a traced run is
+  /// bit-identical to an untraced one. nullptr detaches everywhere.
   void set_request_tracer(obs::RequestTracer* tracer) noexcept;
 
   /// Attaches a phase profiler: the tick sections run under ScopedPhase
@@ -232,16 +238,14 @@ class BaseStation {
   std::unique_ptr<RecencyScorer> scorer_;
   std::unique_ptr<DownloadPolicy> policy_;
   BaseStationConfig config_;
-  net::FixedNetwork network_;
   net::WirelessDownlink downlink_;
   RunTotals totals_;
 
-  // Per-batch scratch retained across ticks (docs/performance.md): fetch
-  // list and transfer sizes. serve_epoch_ counts process_batch calls; a
-  // per-object stamp equal to it means "this tick", so starting a tick is
-  // one counter bump instead of an O(catalog) clear.
+  // Per-batch scratch retained across ticks (docs/performance.md): the
+  // fetch list. serve_epoch_ counts process_batch calls; a per-object
+  // stamp equal to it means "this tick", so starting a tick is one
+  // counter bump instead of an O(catalog) clear.
   std::vector<object::ObjectId> to_fetch_;
-  std::vector<object::Units> transfer_sizes_;
   std::uint64_t serve_epoch_ = 0;
 
   // Resilience state (allocated lazily by ensure_fault_scratch, only when

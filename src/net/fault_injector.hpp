@@ -1,9 +1,9 @@
 // FaultInjector: the runtime instantiation of a sim::FaultPlan.
 //
 // One injector is shared by every component of a station's pipeline —
-// FixedNetwork (fetch slowdowns), WirelessDownlink (mid-flight drops),
-// ServerPool (outage windows), BaseStation (fetch failures) and the cell
-// driver (client handoffs) — each consulting the draw for its own fault
+// BaseStation (fetch failures and slowdowns), WirelessDownlink (mid-flight
+// drops), ServerPool (outage windows) and the cell driver (client
+// handoffs) — each consulting the draw for its own fault
 // category. Categories draw from independent SplitMix64-derived streams,
 // so the schedule of one fault class is a pure function of (plan seed,
 // class, draw index) and never shifts when another class is toggled.

@@ -1,7 +1,8 @@
 // Event-driven processor-sharing link.
 //
-// FixedNetwork charges contention analytically per batch; this class
-// models it dynamically on the event kernel: all in-flight transfers
+// The base station charges a fetch batch analytically (latency + total
+// units / bandwidth, BaseStation::process_batch); this class models
+// contention dynamically on the event kernel: all in-flight transfers
 // share the link's bandwidth equally (processor sharing — the standard
 // fluid model of TCP-fair links), so a transfer's completion time depends
 // on exactly which other transfers overlap it and for how long. Used by

@@ -106,6 +106,9 @@ void write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(fs_path, std::ios::trunc);
   if (!out) throw std::runtime_error("write_file: cannot open " + path);
   out << contents;
+  // Close before the check: a failed flush of the buffered bytes only
+  // shows on the stream once they reach the file.
+  out.close();
   if (!out) throw std::runtime_error("write_file: write failed for " + path);
 }
 

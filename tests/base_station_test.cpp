@@ -5,9 +5,11 @@
 #include <map>
 #include <utility>
 
+#include "net/fault_injector.hpp"
 #include "object/builders.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace mobi::core {
 namespace {
@@ -140,11 +142,50 @@ TEST(BaseStation, DownlinkCarriesResponses) {
 
 TEST(BaseStation, FetchLatencyReflectsBatchVolume) {
   Fixture fx({3, 4}, "download-all");
-  const net::FixedNetwork& network = fx.station.network();
-  EXPECT_DOUBLE_EQ(network.bandwidth(), 100.0);
-  EXPECT_DOUBLE_EQ(network.latency(), 1.0);
   const auto result = fx.station.process_batch(requests_for({0, 1}), 0);
   EXPECT_DOUBLE_EQ(result.fetch_latency, 1.0 + 7.0 / 100.0);
+}
+
+// A congestion fault stretches a tick's whole origin batch on one draw;
+// a tick that fetches nothing reads no completion and draws nothing.
+TEST(BaseStation, CongestionFaultStretchesTheBatchOnce) {
+  sim::FaultPlan plan;
+  plan.fetch_slowdown_rate = 1.0;
+  plan.fetch_slowdown_factor = 4.0;
+  net::FaultInjector injector(plan);
+  Fixture healthy({3, 4}, "download-all");
+  Fixture congested({3, 4}, "download-all");
+  congested.station.set_fault_injector(&injector);
+
+  const auto base = healthy.station.process_batch(requests_for({0, 1}), 0);
+  const auto slow = congested.station.process_batch(requests_for({0, 1}), 0);
+  EXPECT_EQ(slow.objects_downloaded, 2u);
+  EXPECT_DOUBLE_EQ(slow.fetch_latency, 4.0 * base.fetch_latency);
+  EXPECT_EQ(injector.counters().fetch_slowdowns, 1u);
+
+  const auto idle = congested.station.process_batch({}, 1);
+  EXPECT_EQ(idle.objects_downloaded, 0u);
+  EXPECT_EQ(idle.fetch_latency, 0.0);
+  EXPECT_EQ(injector.counters().fetch_slowdowns, 1u);
+}
+
+// One net-batch event per tick with an origin fetch: the transfer count
+// rides in the attempt field and the completion time in the value.
+TEST(BaseStation, TracedTickRecordsOneNetBatchEvent) {
+  Fixture fx({3, 4}, "download-all");
+  obs::RequestTracer tracer;
+  fx.station.set_request_tracer(&tracer);
+  const auto result = fx.station.process_batch(requests_for({0, 1}), 5);
+  fx.station.process_batch({}, 6);  // fetches nothing
+
+  const obs::EventLog& log = tracer.log();
+  ASSERT_EQ(log.count(obs::EventKind::kNetBatch), 1u);
+  for (const obs::RequestEvent& e : log.events()) {
+    if (e.kind != obs::EventKind::kNetBatch) continue;
+    EXPECT_EQ(e.tick, 5);
+    EXPECT_EQ(e.attempt, result.objects_downloaded);
+    EXPECT_EQ(e.value, result.fetch_latency);
+  }
 }
 
 TEST(BaseStation, EmptyBatchIsHarmless) {

@@ -436,7 +436,7 @@ TEST(PeerTier, BaseStationFetchesFromPeersAtDiscountedCost) {
   EXPECT_EQ(rb.peer_units, 1);
   EXPECT_EQ(rb.units_downloaded, 0);
   EXPECT_EQ(rb.objects_downloaded, 0u);
-  EXPECT_EQ(b->network().stats().units, 0);
+  EXPECT_EQ(b->totals().units_downloaded, 0);
   EXPECT_DOUBLE_EQ(b->cache().recency_or_zero(5), 1.0);
   EXPECT_EQ(dir.state(0, 5), CoherenceState::kShared);
   EXPECT_EQ(dir.state(1, 5), CoherenceState::kShared);

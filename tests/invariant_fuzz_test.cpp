@@ -11,6 +11,7 @@
 // ticks.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "core/base_station.hpp"
@@ -29,6 +30,14 @@ struct FuzzParam {
   bool needs_budget;     // cannot run with unlimited budget
   bool respects_budget;  // download-all deliberately ignores the budget
 };
+
+// Without this, gtest prints a FuzzParam as its raw bytes, policy pointer
+// included, and ctest bakes them into test names that change per build.
+void PrintTo(const FuzzParam& param, std::ostream* os) {
+  *os << param.policy << " request_driven=" << param.request_driven
+      << " needs_budget=" << param.needs_budget
+      << " respects_budget=" << param.respects_budget;
+}
 
 class PolicyFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 

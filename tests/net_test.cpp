@@ -1,7 +1,5 @@
 #include "net/downlink.hpp"
 #include "net/fault_injector.hpp"
-#include "net/fixed_network.hpp"
-#include "net/link.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,79 +9,6 @@
 
 namespace mobi::net {
 namespace {
-
-TEST(Link, TransferTimeIsLatencyPlusSerialization) {
-  Link link(10.0, 2.0);
-  EXPECT_DOUBLE_EQ(link.transfer_time(0), 2.0);
-  EXPECT_DOUBLE_EQ(link.transfer_time(50), 7.0);
-}
-
-TEST(Link, Accounting) {
-  Link link(10.0, 0.0);
-  link.account(5);
-  link.account(7);
-  EXPECT_EQ(link.transferred(), 12);
-  EXPECT_EQ(link.transfers(), 2u);
-}
-
-TEST(Link, Validation) {
-  EXPECT_THROW(Link(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Link(-5.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Link(1.0, -1.0), std::invalid_argument);
-  Link link(1.0, 0.0);
-  EXPECT_THROW(link.transfer_time(-1), std::invalid_argument);
-}
-
-TEST(FixedNetwork, SoloTransferMatchesLink) {
-  FixedNetwork network(10.0, 1.0, 1.0);
-  const auto times = network.submit_batch({20});
-  ASSERT_EQ(times.size(), 1u);
-  EXPECT_DOUBLE_EQ(times[0], 3.0);  // 1.0 + 20/10
-}
-
-TEST(FixedNetwork, ContentionInflatesLatency) {
-  FixedNetwork network(10.0, 1.0, 1.0);
-  const auto times = network.submit_batch({20, 20});
-  // Each sees its own 20 plus the competitor's 20 at full contention.
-  EXPECT_DOUBLE_EQ(times[0], 5.0);
-  EXPECT_DOUBLE_EQ(times[1], 5.0);
-}
-
-TEST(FixedNetwork, ZeroContentionIgnoresCompetitors) {
-  FixedNetwork network(10.0, 1.0, 0.0);
-  const auto times = network.submit_batch({20, 40});
-  EXPECT_DOUBLE_EQ(times[0], 3.0);
-  EXPECT_DOUBLE_EQ(times[1], 5.0);
-}
-
-TEST(FixedNetwork, PartialContention) {
-  FixedNetwork network(10.0, 0.0, 0.5);
-  const auto times = network.submit_batch({10, 30});
-  EXPECT_DOUBLE_EQ(times[0], (10.0 + 0.5 * 30.0) / 10.0);
-  EXPECT_DOUBLE_EQ(times[1], (30.0 + 0.5 * 10.0) / 10.0);
-}
-
-TEST(FixedNetwork, BatchCompletionTime) {
-  FixedNetwork network(10.0, 1.0, 1.0);
-  EXPECT_DOUBLE_EQ(network.record_batch_completion({20, 30}), 6.0);
-  EXPECT_DOUBLE_EQ(network.record_batch_completion({}), 0.0);
-  EXPECT_EQ(network.stats().transfers, 2u);  // the empty batch adds none
-}
-
-TEST(FixedNetwork, StatsAccumulate) {
-  FixedNetwork network(10.0, 1.0, 1.0);
-  network.submit_batch({10});
-  network.submit_batch({20, 30});
-  EXPECT_EQ(network.stats().transfers, 3u);
-  EXPECT_EQ(network.stats().units, 60);
-  EXPECT_GT(network.stats().mean_time(), 0.0);
-}
-
-TEST(FixedNetwork, Validation) {
-  EXPECT_THROW(FixedNetwork(10.0, 0.0, -1.0), std::invalid_argument);
-  FixedNetwork network(10.0, 0.0, 1.0);
-  EXPECT_THROW(network.submit_batch({-5}), std::invalid_argument);
-}
 
 TEST(WirelessDownlink, DeliversUpToCapacity) {
   WirelessDownlink downlink(10);
@@ -271,33 +196,6 @@ TEST(WirelessDownlink, TracesDeliveriesOfSampledRequestsAndEveryDrop) {
   EXPECT_EQ(log.events()[2].kind, obs::EventKind::kDownlinkDrop);
   EXPECT_EQ(log.events()[2].value, 2.0);
   EXPECT_EQ(wait.total(), 4u);  // a drop is no delivery
-}
-
-TEST(FixedNetwork, RecordBatchCompletionMatchesLegacyPairWithoutFaults) {
-  FixedNetwork submitted(10.0, 2.0, 0.5);
-  FixedNetwork recorded(10.0, 2.0, 0.5);
-  const std::vector<object::Units> sizes{4, 6, 10};
-  submitted.submit_batch(sizes);
-  EXPECT_EQ(recorded.record_batch_completion(sizes), 2.0 + 20 / 10.0);
-  EXPECT_EQ(recorded.stats().transfers, submitted.stats().transfers);
-  EXPECT_EQ(recorded.stats().units, submitted.stats().units);
-  EXPECT_EQ(recorded.stats().total_time, submitted.stats().total_time);
-}
-
-TEST(FixedNetwork, CongestionFaultStretchesTheWholeBatch) {
-  sim::FaultPlan plan;
-  plan.fetch_slowdown_rate = 1.0;
-  plan.fetch_slowdown_factor = 4.0;
-  FaultInjector injector(plan);
-  FixedNetwork healthy(10.0, 2.0, 1.0);
-  FixedNetwork congested(10.0, 2.0, 1.0);
-  congested.set_fault_injector(&injector);
-  const std::vector<object::Units> sizes{5, 5};
-  const double base = healthy.record_batch_completion(sizes);
-  EXPECT_DOUBLE_EQ(congested.record_batch_completion(sizes), 4.0 * base);
-  EXPECT_DOUBLE_EQ(congested.stats().total_time,
-                   4.0 * healthy.stats().total_time);
-  EXPECT_EQ(injector.counters().fetch_slowdowns, 1u);  // one draw per batch
 }
 
 }  // namespace

@@ -77,5 +77,11 @@ TEST(WriteFile, RoundTripsAndCreatesDirectories) {
   std::filesystem::remove_all(dir);
 }
 
+// /dev/full accepts the write into the stream's buffer and fails when
+// the buffer is flushed to the device.
+TEST(WriteFile, FullDeviceThrows) {
+  EXPECT_THROW(write_file("/dev/full", "a,b\n1,2\n"), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace mobi::util
