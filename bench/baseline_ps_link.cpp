@@ -44,9 +44,9 @@ Comparison compare(const std::vector<object::Units>& sizes) {
 
   // The same burst submitted to a PS link once the latency has passed.
   sim::Simulator simulator;
-  net::PsLink link(simulator, core::kFixedNetworkBandwidth);
+  net::PsLink link(simulator, core::kFixedNetBandwidth);
   std::vector<double> finishes;
-  simulator.schedule_at(core::kFixedNetworkLatency, [&] {
+  simulator.schedule_at(core::kFixedNetLatency, [&] {
     for (object::Units size : sizes) {
       link.submit(size, [&](double, double f) { finishes.push_back(f); });
     }

@@ -206,8 +206,8 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
       // multiplies exactly, so a healthy batch reads the fault-free time.
       const double slowdown = fault_ ? fault_->draw_fetch_slowdown() : 1.0;
       result.fetch_latency =
-          slowdown * (kFixedNetworkLatency + double(result.units_downloaded) /
-                                                 kFixedNetworkBandwidth);
+          slowdown * (kFixedNetLatency +
+                      double(result.units_downloaded) / kFixedNetBandwidth);
       if (tracer_) {
         tracer_->on_net_batch(result.objects_downloaded, result.fetch_latency);
       }

@@ -58,8 +58,8 @@ struct BaseStationConfig {
 /// network, the overall latency may increase due to bandwidth
 /// contention", paper §1); an injected congestion fault multiplies it by
 /// the plan's slowdown factor.
-inline constexpr double kFixedNetworkLatency = 1.0;      // ticks
-inline constexpr double kFixedNetworkBandwidth = 100.0;  // units per tick
+inline constexpr double kFixedNetLatency = 1.0;      // ticks
+inline constexpr double kFixedNetBandwidth = 100.0;  // units per tick
 
 struct TickResult {
   sim::Tick tick = 0;

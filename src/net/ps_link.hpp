@@ -5,9 +5,9 @@
 // contention dynamically on the event kernel: all in-flight transfers
 // share the link's bandwidth equally (processor sharing — the standard
 // fluid model of TCP-fair links), so a transfer's completion time depends
-// on exactly which other transfers overlap it and for how long. Used by
-// the examples/extensions that need real latency dynamics; the paper's
-// experiment harnesses keep the budget abstraction.
+// on exactly which other transfers overlap it and for how long.
+// bench/baseline_ps_link checks the station's batch completion against
+// it; the paper's experiment harnesses keep the budget abstraction.
 #pragma once
 
 #include <cstdint>
